@@ -209,7 +209,11 @@ class _Handler(BaseHTTPRequestHandler):
         body: dict = {}
         for key, values in parse_qs(parsed.query).items():
             body[key] = values[-1]
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self.headers.get("Content-Length") or "0"
+        if not length.isdecimal():
+            self._reply(400, {"code": "InvalidRequest", "message": "bad Content-Length"})
+            return
+        length = int(length)
         if length:
             try:
                 body.update(json.loads(self.rfile.read(length).decode("utf-8")))

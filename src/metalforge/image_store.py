@@ -78,6 +78,8 @@ class ImageRecord:
     created_at: float
     child_count: int = 0
     shared_with: set = field(default_factory=set)
+    # guards this image's block data; lives and dies with the record
+    lock: RWLock = field(default_factory=RWLock, repr=False, compare=False)
 
     def to_public(self) -> dict:
         return {
@@ -181,9 +183,6 @@ class BlockFile:
         self._index[index] = self._end + _BLOCK_HEADER.size
         self._end += _BLOCK_HEADER.size + self.block_size
 
-    def flush(self) -> None:
-        pass  # appends hit the kernel directly
-
     def close(self) -> None:
         if self._fd is not None:
             os.close(self._fd)
@@ -198,10 +197,11 @@ class ImageStore:
     """Copy-on-write image repository backed by a shared journal.
 
     Thread safety: metadata mutations serialize through the journal commit
-    path under ``_meta``; block I/O takes per-image reader/writer locks so
-    reads run concurrently and operations on distinct images in parallel.
-    Image locks are always acquired descendant-first, and never while
-    holding ``_meta``.
+    path under ``_meta``; block I/O takes the reader/writer lock that lives
+    on each ``ImageRecord``, so reads run concurrently and operations on
+    distinct images in parallel. Image locks are always acquired
+    descendant-first, and never while holding ``_meta``. After taking one,
+    a caller re-checks that the id still names the same record.
     """
 
     def __init__(self, root: Path | str, journal: Journal, config: StoreConfig | None = None):
@@ -210,12 +210,12 @@ class ImageStore:
         self.journal = journal
         self._images: dict[str, ImageRecord] = {}
         self._layers: dict[str, BlockFile] = {}
-        self._locks: dict[str, RWLock] = {}
         self._uses: dict[str, set[str]] = {}
         self._meta = threading.RLock()
         self._stats_lock = threading.Lock()
         self._stats = CopyStats()
         self._seq = 0
+        journal.register("image", self.apply)
 
     @classmethod
     def open(cls, root: Path | str, config: StoreConfig | None = None) -> "ImageStore":
@@ -223,9 +223,7 @@ class ImageStore:
         root = Path(root)
         journal = Journal(root / "journal.log")
         store = cls(root, journal, config)
-        for record in journal.load():
-            if record["type"].startswith("image."):
-                store.apply(record)
+        journal.replay()
         store.cleanup_orphan_layers()
         return store
 
@@ -266,7 +264,6 @@ class ImageStore:
                 layer.unlink()
             else:
                 self._layer_path(rec.id).unlink(missing_ok=True)
-            self._locks.pop(rec.id, None)
             self._uses.pop(rec.id, None)
         elif op == "image.flatten":
             rec = self._images[record["id"]]
@@ -280,10 +277,6 @@ class ImageStore:
             self._images[record["id"]].shared_with.add(record["grantee"])
         else:
             raise ValueError(f"unknown image record type {op}")
-
-    def _commit(self, record: dict) -> None:
-        self.journal.append(record)
-        self.apply(record)
 
     # -- lookup helpers --------------------------------------------------
 
@@ -359,10 +352,6 @@ class ImageStore:
                 if not holders:
                     del self._uses[image_id]
 
-    def users_of(self, image_id: str) -> set:
-        with self._meta:
-            return set(self._uses.get(image_id, ()))
-
     # -- image lifecycle --------------------------------------------------
 
     def create_image(self, tenant: str, name: str, virtual_size: int) -> str:
@@ -372,8 +361,8 @@ class ImageStore:
         with self._meta:
             self._require_name_free(tenant, name)
             image_id = self._next_id()
-            self._commit(self._create_record(image_id, tenant, name, ImageKind.GOLDEN,
-                                             None, virtual_size))
+            self.journal.commit(self._create_record(
+                image_id, tenant, name, ImageKind.GOLDEN, None, virtual_size))
             return image_id
 
     def import_image(self, tenant: str, name: str, stream: BinaryIO | bytes) -> str:
@@ -401,7 +390,6 @@ class ImageStore:
                     layer.write_block(index, chunk)
                     ingested += 1
                 index += 1
-            layer.flush()
         except OSError as exc:
             raise StorageFailure(f"import failed: {exc}") from exc
         if total == 0:
@@ -411,8 +399,8 @@ class ImageStore:
         try:
             with self._meta:
                 self._require_name_free(tenant, name)
-                self._commit(self._create_record(image_id, tenant, name, ImageKind.GOLDEN,
-                                                 None, virtual_size))
+                self.journal.commit(self._create_record(
+                    image_id, tenant, name, ImageKind.GOLDEN, None, virtual_size))
         except DuplicateName:
             self._discard_layer(image_id)
             raise
@@ -421,13 +409,10 @@ class ImageStore:
 
     def linked_clone(self, tenant: str, parent_id: str, name: str) -> str:
         """Create a writable child layer; transfers zero data blocks."""
-        self.check_readable(tenant, parent_id)
-        parent_lock = self._lock_for(parent_id)
-        with parent_lock.write_locked():
+        parent = self.check_readable(tenant, parent_id)
+        with parent.lock.write_locked():
             with self._meta:
-                parent = self._images.get(parent_id)
-                if parent is None:
-                    raise NotFound(f"image {parent_id} does not exist")
+                self._require_live(parent)
                 depth = len(self.chain_of(parent_id)) + 1
                 if depth > self.config.max_chain_depth:
                     raise ChainTooDeep(
@@ -437,24 +422,21 @@ class ImageStore:
                 record = self._create_record(image_id, tenant, name, ImageKind.CLONE,
                                              parent_id, parent.virtual_size)
                 record["block_size"] = parent.block_size  # chains must align
-                self._commit(record)
+                self.journal.commit(record)
         self._bump(clone_ops=1)
         return image_id
 
     def delete_image(self, tenant: str, image_id: str) -> None:
         rec = self._check_owned(tenant, image_id)
-        lock = self._lock_for(image_id)
-        with lock.write_locked():
+        with rec.lock.write_locked():
             with self._meta:
-                rec = self._images.get(image_id)
-                if rec is None:
-                    raise NotFound(f"image {image_id} does not exist")
+                self._require_live(rec)
                 if rec.child_count > 0:
                     raise HasChildren(f"image {image_id} has {rec.child_count} children")
                 if self._uses.get(image_id):
                     holders = ", ".join(sorted(self._uses[image_id]))
                     raise ImageInUse(f"image {image_id} is exported by {holders}")
-                self._commit({"type": "image.delete", "id": image_id})
+                self.journal.commit({"type": "image.delete", "id": image_id})
 
     def rename_image(self, tenant: str, image_id: str, new_name: str) -> None:
         with self._meta:
@@ -462,13 +444,13 @@ class ImageStore:
             if rec.name == new_name:
                 return
             self._require_name_free(tenant, new_name)
-            self._commit({"type": "image.rename", "id": image_id, "name": new_name})
+            self.journal.commit({"type": "image.rename", "id": image_id, "name": new_name})
 
     def share_image(self, tenant: str, image_id: str, grantee: str) -> None:
         """Grant another tenant read and clone access."""
         with self._meta:
             self._check_owned(tenant, image_id)
-            self._commit({"type": "image.share", "id": image_id, "grantee": grantee})
+            self.journal.commit({"type": "image.share", "id": image_id, "grantee": grantee})
 
     def list_images(self, tenant: str) -> list[ImageRecord]:
         with self._meta:
@@ -489,9 +471,8 @@ class ImageStore:
             return b""
         with ExitStack() as stack:
             for rec in chain:
-                stack.enter_context(self._lock_for(rec.id).read_locked())
-            if not self.exists(image_id):
-                raise NotFound(f"image {image_id} does not exist")
+                stack.enter_context(rec.lock.read_locked())
+            self._require_live(chain[0])
             return self._read_resolved(chain, offset, length)
 
     def write_range(self, image_id: str, offset: int, data: bytes) -> None:
@@ -501,18 +482,15 @@ class ImageStore:
         self._check_bounds(rec, offset, len(data))
         if not data:
             return
-        lock = self._lock_for(image_id)
-        with lock.write_locked():
+        with rec.lock.write_locked():
             with self._meta:
-                rec = self._images.get(image_id)
-                if rec is None:
-                    raise NotFound(f"image {image_id} does not exist")
+                self._require_live(rec)
                 if rec.kind is ImageKind.SNAPSHOT or rec.child_count > 0:
                     raise ImmutableImage(f"image {image_id} is not writable")
                 chain = self.chain_of(image_id)
             with ExitStack() as stack:
                 for ancestor in chain[1:]:
-                    stack.enter_context(self._lock_for(ancestor.id).read_locked())
+                    stack.enter_context(ancestor.lock.read_locked())
                 self._write_blocks(chain, offset, data)
 
     def flatten(self, image_id: str) -> int:
@@ -521,19 +499,16 @@ class ImageStore:
         rec = self.get(image_id)
         if rec.kind is not ImageKind.CLONE:
             raise NotAClone(f"image {image_id} is kind={rec.kind.value}")
-        lock = self._lock_for(image_id)
-        with lock.write_locked():
+        with rec.lock.write_locked():
             with self._meta:
-                rec = self._images.get(image_id)
-                if rec is None:
-                    raise NotFound(f"image {image_id} does not exist")
+                self._require_live(rec)
                 if rec.kind is not ImageKind.CLONE:
                     raise NotAClone(f"image {image_id} is kind={rec.kind.value}")
                 chain = self.chain_of(image_id)
             copied = 0
             with ExitStack() as stack:
                 for ancestor in chain[1:]:
-                    stack.enter_context(self._lock_for(ancestor.id).read_locked())
+                    stack.enter_context(ancestor.lock.read_locked())
                 layer = self._layer(image_id)
                 wanted = set()
                 for ancestor in chain[1:]:
@@ -547,9 +522,8 @@ class ImageStore:
                         continue
                     layer.write_block(index, payload)
                     copied += 1
-                layer.flush()
             with self._meta:
-                self._commit({"type": "image.flatten", "id": image_id})
+                self.journal.commit({"type": "image.flatten", "id": image_id})
         self._bump(blocks_copied=copied, flatten_ops=1)
         return copied
 
@@ -563,9 +537,8 @@ class ImageStore:
         copied = 0
         with ExitStack() as stack:
             for rec in chain:
-                stack.enter_context(self._lock_for(rec.id).read_locked())
-            if not self.exists(source_id):
-                raise NotFound(f"image {source_id} does not exist")
+                stack.enter_context(rec.lock.read_locked())
+            self._require_live(chain[0])
             layer = self._layer(image_id)
             wanted = set()
             for rec in chain:
@@ -579,14 +552,13 @@ class ImageStore:
                         continue
                     layer.write_block(index, payload)
                     copied += 1
-                layer.flush()
             except OSError as exc:
                 raise StorageFailure(f"deep copy failed: {exc}") from exc
         try:
             with self._meta:
                 self._require_name_free(tenant, name)
-                self._commit(self._create_record(image_id, tenant, name, ImageKind.GOLDEN,
-                                                 None, chain[0].virtual_size))
+                self.journal.commit(self._create_record(
+                    image_id, tenant, name, ImageKind.GOLDEN, None, chain[0].virtual_size))
         except DuplicateName:
             self._discard_layer(image_id)
             raise
@@ -711,12 +683,11 @@ class ImageStore:
                 layer = self._layer(image_id)
             return layer
 
-    def _lock_for(self, image_id: str) -> RWLock:
+    def _require_live(self, rec: ImageRecord) -> None:
+        """Raise NotFound unless the record's id still names this record."""
         with self._meta:
-            lock = self._locks.get(image_id)
-            if lock is None:
-                lock = self._locks[image_id] = RWLock()
-            return lock
+            if self._images.get(rec.id) is not rec:
+                raise NotFound(f"image {rec.id} does not exist")
 
     def _check_bounds(self, rec: ImageRecord, offset: int, length: int) -> None:
         if offset < 0 or length < 0 or offset + length > rec.virtual_size:
@@ -778,7 +749,6 @@ class ImageStore:
                     materialized += 1
                 layer.write_block(index, payload)
                 cursor = block_lo + hi
-            layer.flush()
         except OSError as exc:
             raise StorageFailure(f"write failed: {exc}") from exc
         if materialized:

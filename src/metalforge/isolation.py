@@ -63,6 +63,7 @@ class IsolationService:
         self._by_mac: dict[str, str] = {}
         self._lock = threading.RLock()
         self._seq = 0
+        journal.register("node", self.apply)
 
     # -- journal replay -----------------------------------------------------
 
@@ -93,10 +94,6 @@ class IsolationService:
         else:
             raise ValueError(f"unknown node record type {op}")
 
-    def _commit(self, record: dict) -> None:
-        self.journal.append(record)
-        self.apply(record)
-
     # -- pool management -------------------------------------------------------
 
     def register_node(self, mac: str) -> str:
@@ -106,7 +103,7 @@ class IsolationService:
                 raise DuplicateMac(f"mac {mac} is already registered")
             self._seq += 1
             node_id = f"node-{self._seq:03d}"
-            self._commit({"type": "node.register", "id": node_id, "mac": mac})
+            self.journal.commit({"type": "node.register", "id": node_id, "mac": mac})
             return node_id
 
     def allocate_node(self, tenant: str, node_id: str | None = None) -> str:
@@ -123,7 +120,7 @@ class IsolationService:
                 )
                 if node is None:
                     raise PoolExhausted("no free healthy node in the pool")
-            self._commit({"type": "node.allocate", "id": node.id, "tenant": tenant})
+            self.journal.commit({"type": "node.allocate", "id": node.id, "tenant": tenant})
             return node.id
 
     def release_node(self, node_id: str) -> None:
@@ -131,7 +128,7 @@ class IsolationService:
             node = self._get(node_id)
             if node.pool_state is PoolState.FREE:
                 return
-            self._commit({"type": "node.release", "id": node.id})
+            self.journal.commit({"type": "node.release", "id": node.id})
 
     def attach_network(self, node_id: str, tenant: str) -> None:
         with self._lock:
@@ -142,28 +139,28 @@ class IsolationService:
                 raise WrongTenant(f"node {node_id} belongs to {node.owner}")
             if node.attached_network == tenant:
                 return
-            self._commit({"type": "node.attach", "id": node.id, "tenant": tenant})
+            self.journal.commit({"type": "node.attach", "id": node.id, "tenant": tenant})
 
     def detach_network(self, node_id: str) -> None:
         with self._lock:
             node = self._nodes.get(node_id)
             if node is None or node.attached_network is None:
                 return
-            self._commit({"type": "node.detach", "id": node.id})
+            self.journal.commit({"type": "node.detach", "id": node.id})
 
     def mark_failed(self, node_id: str) -> None:
         with self._lock:
             node = self._get(node_id)
             if node.health is Health.FAILED:
                 return
-            self._commit({"type": "node.health", "id": node.id, "health": "failed"})
+            self.journal.commit({"type": "node.health", "id": node.id, "health": "failed"})
 
     def repair_node(self, node_id: str) -> None:
         with self._lock:
             node = self._get(node_id)
             if node.health is Health.OK:
                 return
-            self._commit({"type": "node.health", "id": node.id, "health": "ok"})
+            self.journal.commit({"type": "node.health", "id": node.id, "health": "ok"})
 
     # -- queries -----------------------------------------------------------------
 

@@ -1,10 +1,13 @@
 """Append-only metadata journal with CRC-checked, length-prefixed records.
 
-All durable service state is committed through one journal and rebuilt by
-replaying it at startup. Record framing: 4-byte big-endian payload length,
-the payload (canonical JSON), then a 4-byte big-endian CRC32 of the payload.
-A torn tail (short frame or CRC mismatch) is discarded on open; anything
-before it is the committed prefix.
+All durable service state is committed through one journal. Each service
+registers an apply function for its record type prefix, the part of ``type``
+before the first ``.``: ``commit`` appends a record and then routes it to
+that function, and ``replay`` loads the journal on open and routes every
+committed record the same way. Record framing: 4-byte big-endian payload
+length, the payload (canonical JSON), then a 4-byte big-endian CRC32 of the
+payload. A torn tail (short frame or CRC mismatch) is discarded on open;
+anything before it is the committed prefix.
 """
 
 import json
@@ -40,6 +43,7 @@ class Journal:
         self._lock = threading.Lock()
         self._fh = None
         self._commits = 0
+        self._appliers: dict[str, Callable[[dict], None]] = {}
         # Called after a record is durably appended; tests use it to crash
         # the stack at exact cut points.
         self.commit_hook: Callable[[int, dict], None] | None = None
@@ -90,6 +94,29 @@ class Journal:
         if self.commit_hook is not None:
             self.commit_hook(seq, record)
         return seq
+
+    def register(self, kind: str, apply: Callable[[dict], None]) -> None:
+        """Route records whose type prefix is ``kind`` to ``apply``."""
+        self._appliers[kind] = apply
+
+    def commit(self, record: dict[str, Any]) -> int:
+        """Append one record, then apply it; returns its sequence number.
+        A raising commit hook leaves the record durable but unapplied."""
+        apply = self._applier(record)
+        seq = self.append(record)
+        apply(record)
+        return seq
+
+    def replay(self) -> None:
+        """Load the committed prefix and apply every record in order."""
+        for record in self.load():
+            self._applier(record)(record)
+
+    def _applier(self, record: dict) -> Callable[[dict], None]:
+        apply = self._appliers.get(record["type"].split(".", 1)[0])
+        if apply is None:
+            raise ValueError(f"unknown journal record type {record['type']}")
+        return apply
 
     def close(self) -> None:
         with self._lock:

@@ -99,16 +99,6 @@ class BootDescriptor:
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "BootDescriptor":
-        data = json.loads(text)
-        return cls(
-            target=data["target"],
-            gateway_addr=data["gateway_addr"],
-            initiator_name=data["initiator_name"],
-            lun=data["lun"],
-        )
-
 
 @dataclass(frozen=True)
 class BootArtifacts:
@@ -129,6 +119,7 @@ class NetbootService:
         self._configs: dict[str, dict] = {}  # mac -> {node, target}
         self._by_node: dict[str, str] = {}
         self._lock = threading.RLock()
+        journal.register("netboot", self.apply)
 
     # -- journal replay ------------------------------------------------------
 
@@ -145,10 +136,6 @@ class NetbootService:
         else:
             raise ValueError(f"unknown netboot record type {op}")
 
-    def _commit(self, record: dict) -> None:
-        self.journal.append(record)
-        self.apply(record)
-
     # -- operations -------------------------------------------------------------
 
     def install_boot_config(self, node: str, mac: str, target: str) -> BootDescriptor:
@@ -161,8 +148,8 @@ class NetbootService:
                 raise ConfigExists(f"mac {mac} already has a boot configuration")
             artifacts = self._build(node, mac, target)
             self._write_files(mac, artifacts)
-            self._commit({"type": "netboot.install", "node": node, "mac": mac,
-                          "target": target})
+            self.journal.commit({"type": "netboot.install", "node": node, "mac": mac,
+                                 "target": target})
             return artifacts.descriptor
 
     def remove_boot_config(self, node: str) -> None:
@@ -172,7 +159,7 @@ class NetbootService:
             if mac is None:
                 return
             self._remove_files(mac)
-            self._commit({"type": "netboot.remove", "mac": mac})
+            self.journal.commit({"type": "netboot.remove", "mac": mac})
 
     def lookup_boot(self, mac: str) -> BootArtifacts | None:
         """Staged artifacts for a MAC, or None when nothing is configured."""

@@ -161,6 +161,8 @@ class Orchestrator:
         self._node_locks: dict[str, threading.RLock] = {}
         self._workers = threading.BoundedSemaphore(self.config.worker_limit)
         self._prov_seq = 0
+        self.journal.register("prov", self.apply)
+        self.journal.register("idem", self.apply)
         # Test hook: called before each provisioning step; raising a
         # MetalforgeError makes that step fail.
         self.fault_hook = None
@@ -178,8 +180,7 @@ class Orchestrator:
             config_path.write_text(json.dumps(config.persisted(), indent=2,
                                               sort_keys=True) + "\n")
         svc = cls(root, config)
-        for record in svc.journal.load():
-            svc.dispatch(record)
+        svc.journal.replay()
         svc.recover_incomplete()
         return svc
 
@@ -187,22 +188,7 @@ class Orchestrator:
         self.images.close()
         self.journal.close()
 
-    # -- journal dispatch -----------------------------------------------------
-
-    def dispatch(self, record: dict) -> None:
-        kind = record["type"].split(".", 1)[0]
-        if kind == "image":
-            self.images.apply(record)
-        elif kind == "target":
-            self.gateway.apply(record)
-        elif kind == "node":
-            self.pool.apply(record)
-        elif kind == "netboot":
-            self.netboot.apply(record)
-        elif kind in ("prov", "idem"):
-            self.apply(record)
-        else:
-            raise ValueError(f"unknown journal record type {record['type']}")
+    # -- journal replay -------------------------------------------------------
 
     def apply(self, record: dict) -> None:
         op = record["type"]
@@ -247,10 +233,6 @@ class Orchestrator:
     def _check_edge(old: str, new: str) -> None:
         if (old, new) not in STATE_EDGES:
             raise ValueError(f"illegal provision state transition {old} -> {new}")
-
-    def _commit(self, record: dict) -> None:
-        self.journal.append(record)
-        self.apply(record)
 
     # -- crash recovery ----------------------------------------------------------
 
@@ -320,9 +302,9 @@ class Orchestrator:
                 return
             with self._node_lock(node):
                 rec = self._owned_record(tenant, node)
-                self._commit({"type": "prov.step", "node": node, "seq": rec.seq,
-                              "state": ProvisionState.DEPROVISIONING.value,
-                              "keep_image": keep_image})
+                self.journal.commit({"type": "prov.step", "node": node, "seq": rec.seq,
+                                     "state": ProvisionState.DEPROVISIONING.value,
+                                     "keep_image": keep_image})
                 self._teardown(rec, keep_image)
             self._idem_store("deprovision", idempotency_key, ok=True, node=node)
 
@@ -348,8 +330,8 @@ class Orchestrator:
                     self.images.flatten(old_clone)
                     fresh = self.images.linked_clone(tenant, old_clone, fresh_name)
                     self.gateway.rebind_target(tenant, rec.target, fresh)
-                self._commit({"type": "prov.update", "node": node, "seq": rec.seq,
-                              "clone_image": fresh, "source_image": old_clone})
+                self.journal.commit({"type": "prov.update", "node": node, "seq": rec.seq,
+                                     "clone_image": fresh, "source_image": old_clone})
                 return old_clone
 
     def recover(self, tenant: str, failed_node: str, new_node: str | None = None) -> ProvisionRecord:
@@ -365,21 +347,18 @@ class Orchestrator:
                 if rec.state in (ProvisionState.READY, ProvisionState.BOOTED):
                     self._step(rec, ProvisionState.FAILED_NODE)
                 clone, source = rec.clone_image, rec.source_image
-                self._commit({"type": "prov.step", "node": failed_node, "seq": rec.seq,
-                              "state": ProvisionState.DEPROVISIONING.value,
-                              "keep_image": True})
+                self.journal.commit({"type": "prov.step", "node": failed_node, "seq": rec.seq,
+                                     "state": ProvisionState.DEPROVISIONING.value,
+                                     "keep_image": True})
                 self._teardown(rec, keep_image=True)
             new_id = self.pool.allocate_node(tenant, new_node)
             with self._node_lock(new_id):
                 rec2 = self._begin(new_id, tenant, source, owns_clone=False,
                                    clone_image=clone)
-                try:
-                    self._run_step(rec2, "export", self._step_export)
-                    self._run_step(rec2, "configure", self._step_configure)
-                    self._run_step(rec2, "attach", self._step_attach)
-                    self._step(rec2, ProvisionState.READY)
-                except RollbackReport:
-                    raise
+                self._run_step(rec2, "export", self._step_export)
+                self._run_step(rec2, "configure", self._step_configure)
+                self._run_step(rec2, "attach", self._step_attach)
+                self._step(rec2, ProvisionState.READY)
                 return rec2
 
     # -- simulator signals ---------------------------------------------------------
@@ -478,10 +457,9 @@ class Orchestrator:
         for name in targets:
             if name not in claimed_targets:
                 problems.append(f"orphan target {name}")
+        live_macs = {self.netboot.config_for_node(node) for node in records}
         for mac in self.netboot.configured_macs():
-            entry_node = next((n for n, r in records.items()
-                               if self.netboot.config_for_node(n) == mac), None)
-            if entry_node is None:
+            if mac not in live_macs:
                 problems.append(f"orphan boot configuration for {mac}")
         for node in self.pool.nodes():
             if node.pool_state is PoolState.FREE:
@@ -518,14 +496,14 @@ class Orchestrator:
         }
         if clone_image is not None:
             record["clone_image"] = clone_image
-        self._commit(record)
+        self.journal.commit(record)
         return self._records[node]
 
     def _step(self, rec: ProvisionRecord, state: ProvisionState, **extra) -> None:
         record = {"type": "prov.step", "node": rec.node, "seq": rec.seq,
                   "state": state.value}
         record.update(extra)
-        self._commit(record)
+        self.journal.commit(record)
 
     def _run_step(self, rec: ProvisionRecord, name: str, fn) -> None:
         try:
@@ -586,7 +564,7 @@ class Orchestrator:
                 pass
         self.pool.release_node(rec.node)
         self._step(rec, ProvisionState.ROLLED_BACK)
-        self._commit({"type": "prov.end", "node": rec.node, "seq": rec.seq})
+        self.journal.commit({"type": "prov.end", "node": rec.node, "seq": rec.seq})
 
     def _teardown(self, rec: ProvisionRecord, keep_image: bool) -> None:
         """Forward teardown for deprovision (and its crash resume)."""
@@ -603,7 +581,7 @@ class Orchestrator:
             except NotFound:
                 pass
         self.pool.release_node(rec.node)
-        self._commit({"type": "prov.end", "node": rec.node, "seq": rec.seq})
+        self.journal.commit({"type": "prov.end", "node": rec.node, "seq": rec.seq})
 
     def _owned_record(self, tenant: str, node: str) -> ProvisionRecord:
         rec = self._live_record(node)
@@ -650,7 +628,7 @@ class Orchestrator:
             record["result"] = result
         if error is not None:
             record["error"] = {"code": error.cause_code, "failing_step": error.failing_step}
-        self._commit(record)
+        self.journal.commit(record)
 
     def _replay_provision_outcome(self, prior: dict) -> ProvisionRecord:
         if not prior["ok"]:

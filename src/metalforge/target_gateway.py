@@ -96,6 +96,8 @@ class TargetRecord:
     allowed_initiators: set
     created_at: float
     counters: TrafficCounters = field(default_factory=TrafficCounters)
+    # held shared by all I/O on this target, exclusive only by fence
+    io: RWLock = field(default_factory=RWLock, repr=False, compare=False)
 
     def to_public(self) -> dict:
         return {
@@ -129,9 +131,8 @@ class TargetGateway:
         self.journal = journal
         self.config = config or GatewayConfig()
         self._targets: dict[str, TargetRecord] = {}
-        self._io_locks: dict[str, RWLock] = {}
-        self._counter_locks: dict[str, threading.Lock] = {}
-        self._meta = threading.RLock()
+        self._meta = threading.RLock()  # also guards every target's counters
+        journal.register("target", self.apply)
 
     # -- journal replay ----------------------------------------------------
 
@@ -151,8 +152,6 @@ class TargetGateway:
         elif op == "target.delete":
             rec = self._targets.pop(record["name"])
             self.store.release_use(rec.image, rec.name)
-            self._io_locks.pop(rec.name, None)
-            self._counter_locks.pop(rec.name, None)
         elif op == "target.rebind":
             rec = self._targets[record["name"]]
             self.store.release_use(rec.image, rec.name)
@@ -160,10 +159,6 @@ class TargetGateway:
             self.store.acquire_use(rec.image, rec.name)
         else:
             raise ValueError(f"unknown target record type {op}")
-
-    def _commit(self, record: dict) -> None:
-        self.journal.append(record)
-        self.apply(record)
 
     # -- target lifecycle ----------------------------------------------------
 
@@ -179,7 +174,7 @@ class TargetGateway:
                         raise AlreadyExported(
                             f"image {image_id} already exported read-write as {rec.name}")
             name = self._pick_name(tenant, image_id, mode)
-            self._commit({
+            self.journal.commit({
                 "type": "target.create",
                 "name": name,
                 "image": image_id,
@@ -197,7 +192,7 @@ class TargetGateway:
                 raise NotFound(f"target {name} does not exist")
             if rec.tenant != tenant:
                 raise AccessDenied(f"target {name} is not owned by {tenant}")
-            self._commit({"type": "target.delete", "name": name})
+            self.journal.commit({"type": "target.delete", "name": name})
 
     def rebind_target(self, tenant: str, name: str, image_id: str) -> None:
         """Swap the backing image under a live target, preserving its name
@@ -210,7 +205,7 @@ class TargetGateway:
                 raise NotFound(f"target {name} does not exist")
             if rec.tenant != tenant:
                 raise AccessDenied(f"target {name} is not owned by {tenant}")
-            self._commit({"type": "target.rebind", "name": name, "image": image_id})
+            self.journal.commit({"type": "target.rebind", "name": name, "image": image_id})
 
     def exists(self, name: str) -> bool:
         with self._meta:
@@ -228,15 +223,18 @@ class TargetGateway:
             return sorted(self._targets.values(), key=lambda r: r.name)
 
     def get_traffic(self, name: str) -> TrafficCounters:
-        rec = self.get(name)
-        with self._counter_lock(name):
-            return rec.counters.copy()
+        with self._meta:
+            return self.get(name).counters.copy()
 
     @contextmanager
     def fence(self, name: str):
-        """Hold off all I/O on one target; used around backing-image swaps."""
-        lock = self._io_lock(name)
-        with lock.write_locked():
+        """Hold off all I/O on one target; used around backing-image swaps.
+
+        Reads and writes hold the target's ``io`` lock shared (the store's
+        per-image lock is what serializes writes); only a fence takes it
+        exclusive.
+        """
+        with self.get(name).io.write_locked():
             yield
 
     # -- data path -----------------------------------------------------------
@@ -244,10 +242,11 @@ class TargetGateway:
     def target_read(self, initiator: str, name: str, offset: int, length: int) -> bytes:
         rec = self._live(name)
         self._authorize(initiator, rec)
-        with self._io_lock(name).read_locked():
-            rec = self._live(name)
+        with rec.io.read_locked():
+            if self._live(name) is not rec:
+                raise TargetGone(f"target {name} is gone")
             data = self.store.read_range(rec.image, offset, length)
-        with self._counter_lock(name):
+        with self._meta:
             rec.counters.bytes_read += length
             rec.counters.read_ops += 1
         return data
@@ -257,10 +256,11 @@ class TargetGateway:
         self._authorize(initiator, rec)
         if rec.mode is not TargetMode.READ_WRITE:
             raise ReadOnlyTarget(f"target {name} is read-only")
-        with self._io_lock(name).write_locked():
-            rec = self._live(name)
+        with rec.io.read_locked():
+            if self._live(name) is not rec:
+                raise TargetGone(f"target {name} is gone")
             self.store.write_range(rec.image, offset, data)
-        with self._counter_lock(name):
+        with self._meta:
             rec.counters.bytes_written += len(data)
             rec.counters.write_ops += 1
 
@@ -294,20 +294,6 @@ class TargetGateway:
         while f"{base}:ro{serial}" in self._targets:
             serial += 1
         return f"{base}:ro{serial}"
-
-    def _io_lock(self, name: str) -> RWLock:
-        with self._meta:
-            lock = self._io_locks.get(name)
-            if lock is None:
-                lock = self._io_locks[name] = RWLock()
-            return lock
-
-    def _counter_lock(self, name: str) -> threading.Lock:
-        with self._meta:
-            lock = self._counter_locks.get(name)
-            if lock is None:
-                lock = self._counter_locks[name] = threading.Lock()
-            return lock
 
 
 # -- wire codec -----------------------------------------------------------

@@ -1,6 +1,7 @@
 import base64
 import json
 import random
+import socket
 import urllib.request
 
 import pytest
@@ -184,6 +185,23 @@ class TestHttpTransport:
             assert [r["name"] for r in listing["images"]] == ["wire"]
         finally:
             server.shutdown()
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_invalid_request(self, api, length):
+        server, port = serve_background(api)
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                sock.sendall(f"POST /v1/images HTTP/1.1\r\nHost: x\r\n"
+                             f"Content-Length: {length}\r\n\r\n".encode())
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n")[0].split()[1] == b"400"
+            assert json.loads(body)["code"] == "InvalidRequest"
+        finally:
+            server.shutdown()
+            server.server_close()
 
     def test_http_error_status_propagates(self, api):
         server, port = serve_background(api)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import SMALL_BLOCKS, build_stack
-from metalforge.journal import SimulatedCrash
+from metalforge.journal import Journal, SimulatedCrash
 from metalforge.orchestrator import Orchestrator, ProvisionState, StackConfig
 
 BS = 4096
@@ -188,4 +188,30 @@ def test_stray_boot_files_swept_on_recovery(tmp_path):
     revived = reopen(root)
     assert not ghost.exists()
     assert revived.verify_invariants() == []
+    revived.close()
+
+
+def test_open_rejects_record_with_unregistered_prefix(tmp_path):
+    root = tmp_path / "bogus"
+    build_stack(root / "root").close()
+    journal = Journal(root / "root" / "journal.log")
+    journal.load()
+    journal.append({"type": "bogus.x"})
+    journal.close()
+    with pytest.raises(ValueError, match="bogus.x"):
+        reopen(root)
+
+
+def test_crashed_commit_leaves_record_unapplied(tmp_path):
+    stack = build_stack(tmp_path / "root")
+    before = stack.pool.counts()["registered"]
+    crash_after(stack, 1)
+    with pytest.raises(SimulatedCrash):
+        stack.pool.register_node("02:00:00:00:ff:01")
+    stack.journal.commit_hook = None
+    assert stack.pool.counts()["registered"] == before
+    stack.close()
+    # the record was durable, so a reopen applies it
+    revived = reopen(tmp_path)
+    assert revived.pool.counts()["registered"] == before + 1
     revived.close()

@@ -82,3 +82,36 @@ def test_commit_hook_fires_after_durable_append(tmp_path):
     assert seen == [(1, "a"), (2, "b")]
     # the record that "crashed" was already durable
     assert [r["type"] for r in Journal.read_records(path)] == ["a", "b"]
+
+
+def test_commit_and_replay_route_records_by_type_prefix(tmp_path):
+    path = tmp_path / "j.log"
+    journal = Journal(path)
+    journal.load()
+    seen = []
+    journal.register("a", lambda r: seen.append(("a", r["n"])))
+    journal.register("b", lambda r: seen.append(("b", r["n"])))
+    assert journal.commit({"type": "a.x", "n": 1}) == 1
+    assert journal.commit({"type": "b.y.z", "n": 2}) == 2
+    journal.commit({"type": "a.w", "n": 3})
+    journal.close()
+    assert seen == [("a", 1), ("b", 2), ("a", 3)]
+
+    replayed = []
+    reopened = Journal(path)
+    reopened.register("a", lambda r: replayed.append(("a", r["n"])))
+    reopened.register("b", lambda r: replayed.append(("b", r["n"])))
+    reopened.replay()
+    reopened.close()
+    assert replayed == seen
+
+
+def test_unregistered_prefix_is_rejected_before_append(tmp_path):
+    path = tmp_path / "j.log"
+    journal = Journal(path)
+    journal.load()
+    with pytest.raises(ValueError, match="bogus.x"):
+        journal.commit({"type": "bogus.x"})
+    journal.close()
+    assert list(Journal.read_records(path)) == []
+

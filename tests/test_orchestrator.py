@@ -324,6 +324,16 @@ class TestParallelProvision:
         stack.close()
 
 
+def test_boot_configuration_without_provision_record_is_reported(stack):
+    image = seed_image(stack)
+    rec = stack.provision(T1, image)
+    spare = next(n for n in stack.pool.nodes() if n.id != rec.node)
+    stack.netboot.install_boot_config(spare.id, spare.mac, rec.target)
+    problems = stack.verify_invariants()
+    assert f"orphan boot configuration for {spare.mac}" in problems
+    assert f"orphan boot configuration for {stack.pool.get(rec.node).mac}" not in problems
+
+
 class TestStateMachine:
     def test_journal_transitions_follow_declared_edges(self, tmp_path):
         stack = build_stack(tmp_path / "r", nodes=3)

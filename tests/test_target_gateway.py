@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 
 import pytest
@@ -221,6 +222,42 @@ class TestConcurrency:
             t.join()
         assert errors == []
 
+    def test_shared_io_writers_on_one_block_lose_nothing(self, rig):
+        # writes share the target's io lock; the store's image lock must
+        # still serialize the read-modify-write of a shared block
+        stack, image, node, target = rig
+        workers, rounds, span = 8, 25, BS // 8
+        errors = []
+
+        def hammer(i):
+            try:
+                for k in range(rounds):
+                    marker = bytes([i * rounds + k]) * span
+                    stack.gateway.target_write(node, target, i * span, marker)
+                    assert stack.gateway.target_read(node, target, i * span, span) == marker
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        block = stack.gateway.target_read(node, target, 0, BS)
+        assert block == b"".join(bytes([i * rounds + rounds - 1]) * span for i in range(workers))
+        counters = stack.gateway.get_traffic(target)
+        assert counters.write_ops == workers * rounds
+        assert counters.bytes_written == workers * rounds * span
+        assert counters.read_ops == workers * rounds + 1
+        assert counters.bytes_read == workers * rounds * span + BS
+
     def test_fence_blocks_io(self, rig):
         stack, image, node, target = rig
         release = threading.Event()
@@ -236,16 +273,26 @@ class TestConcurrency:
             entered.wait(timeout=5)
             results.append(stack.gateway.target_read(node, target, 0, 4))
 
+        def writer():
+            entered.wait(timeout=5)
+            stack.gateway.target_write(node, target, 0, b"late")
+            results.append("written")
+
         holder = threading.Thread(target=fenced)
-        probe = threading.Thread(target=reader)
+        probes = [threading.Thread(target=reader), threading.Thread(target=writer)]
         holder.start()
-        probe.start()
+        for probe in probes:
+            probe.start()
         entered.wait(timeout=5)
-        assert results == []  # reader is blocked behind the fence
+        for probe in probes:
+            probe.join(timeout=0.2)  # give each probe time to reach the fence
+        assert results == []  # reader and writer are blocked behind the fence
         release.set()
-        holder.join()
-        probe.join()
-        assert len(results) == 1
+        holder.join(timeout=5)
+        for probe in probes:
+            probe.join(timeout=5)
+        assert len(results) == 2
+        assert stack.gateway.target_read(node, target, 0, 4) == b"late"
 
 
 class TestWireFormat:
