@@ -209,6 +209,7 @@ class ImageStore:
         self.config = config or StoreConfig()
         self.journal = journal
         self._images: dict[str, ImageRecord] = {}
+        self._by_name: dict[tuple[str, str], ImageRecord] = {}
         self._layers: dict[str, BlockFile] = {}
         self._uses: dict[str, set[str]] = {}
         self._meta = threading.RLock()
@@ -250,6 +251,7 @@ class ImageStore:
                 created_at=record["created_at"],
             )
             self._images[rec.id] = rec
+            self._by_name[(rec.tenant, rec.name)] = rec
             if rec.parent is not None:
                 self._images[rec.parent].child_count += 1
             num = _id_number(rec.id)
@@ -257,6 +259,7 @@ class ImageStore:
                 self._seq = max(self._seq, num)
         elif op == "image.delete":
             rec = self._images.pop(record["id"])
+            self._by_name.pop((rec.tenant, rec.name), None)
             if rec.parent is not None:
                 self._images[rec.parent].child_count -= 1
             layer = self._layers.pop(rec.id, None)
@@ -272,7 +275,10 @@ class ImageStore:
             rec.parent = None
             rec.kind = ImageKind.SNAPSHOT
         elif op == "image.rename":
-            self._images[record["id"]].name = record["name"]
+            rec = self._images[record["id"]]
+            self._by_name.pop((rec.tenant, rec.name), None)
+            rec.name = record["name"]
+            self._by_name[(rec.tenant, rec.name)] = rec
         elif op == "image.share":
             self._images[record["id"]].shared_with.add(record["grantee"])
         else:
@@ -309,10 +315,7 @@ class ImageStore:
 
     def find_by_name(self, tenant: str, name: str) -> ImageRecord | None:
         with self._meta:
-            for rec in self._images.values():
-                if rec.tenant == tenant and rec.name == name:
-                    return rec
-            return None
+            return self._by_name.get((tenant, name))
 
     def chain_of(self, image_id: str) -> list[ImageRecord]:
         """Resolution chain, the image itself first, root ancestor last."""

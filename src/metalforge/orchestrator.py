@@ -3,17 +3,18 @@
 Owns the node/image mapping database and sequences the image store, target
 gateway, netboot and isolation services for provision, deprovision,
 snapshot and recovery. Every step of a flow is committed through the shared
-journal before the next begins, so a crash can always be resolved on
-restart: half-done provisions are compensated in strict reverse order,
-half-done deprovisions are completed forward, and the global state stays
-orphan-free.
+journal before the next begins. Provision and the second half of recovery
+stand a node up through one path (``_stand_up``); deprovision, the first
+half of recovery, a failed stand-up and crash recovery all take it down
+through one other (``_teardown``). A crash is therefore always resolved on
+restart the same way: half-done stand-ups are rolled back, half-done
+deprovisions are completed, and the global state stays orphan-free.
 """
 
 import json
 import logging
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -97,6 +98,13 @@ class ProvisionRecord:
     target: str | None = None
     owns_clone: bool = True
     keep_image: bool = False
+    # In memory only: the image that already held clone_name at prov.begin;
+    # teardown never adopts it.
+    name_holder: str | None = None
+
+    @property
+    def clone_name(self) -> str:
+        return f"{self.node}-disk-{self.seq}"
 
     def to_public(self) -> dict:
         return {
@@ -155,7 +163,6 @@ class Orchestrator:
         self.netboot = NetbootService(self.root / "netboot", self.gateway,
                                       self.journal, self.config.netboot)
         self._records: dict[str, ProvisionRecord] = {}
-        self._history: list[dict] = []
         self._idem: dict[tuple, dict] = {}
         self._meta = threading.RLock()
         self._node_locks: dict[str, threading.RLock] = {}
@@ -205,6 +212,8 @@ class Orchestrator:
             )
             if rec.node in self._records:
                 raise ValueError(f"duplicate live provision record for {rec.node}")
+            holder = self.images.find_by_name(rec.tenant, rec.clone_name)
+            rec.name_holder = holder.id if holder is not None else None
             self._records[rec.node] = rec
             self._prov_seq = max(self._prov_seq, rec.seq)
         elif op == "prov.step":
@@ -223,7 +232,6 @@ class Orchestrator:
         elif op == "prov.end":
             rec = self._records.pop(record["node"])
             self._check_edge(rec.state.value, REMOVED)
-            self._history.append(rec.to_public())
         elif op == "idem.outcome":
             self._idem[(record["op"], record["key"])] = record
         else:
@@ -241,14 +249,10 @@ class Orchestrator:
         release orphaned allocations, regenerate boot files."""
         rolled_back, completed = [], []
         for rec in list(self._records.values()):
-            if rec.state in _IN_FLIGHT:
-                log.info("recovery: rolling back %s (state=%s)", rec.node, rec.state.value)
-                self._compensate(rec)
-                rolled_back.append(rec.node)
-            elif rec.state is ProvisionState.DEPROVISIONING:
-                log.info("recovery: completing deprovision of %s", rec.node)
-                self._teardown(rec, rec.keep_image)
-                completed.append(rec.node)
+            if rec.state in _IN_FLIGHT or rec.state is ProvisionState.DEPROVISIONING:
+                log.info("recovery: tearing down %s (state=%s)", rec.node, rec.state.value)
+                (rolled_back if rec.state in _IN_FLIGHT else completed).append(rec.node)
+                self._teardown(rec)
         with self._meta:
             recorded = set(self._records)
         for node in self.pool.nodes():
@@ -270,7 +274,7 @@ class Orchestrator:
         Order: allocate, clone, export, configure boot, attach network.
         Any step failure compensates in reverse and raises RollbackReport.
         """
-        with self._worker_slot():
+        with self._workers:
             prior = self._idem_lookup("provision", idempotency_key)
             if prior is not None:
                 return self._replay_provision_outcome(prior)
@@ -279,11 +283,7 @@ class Orchestrator:
             with self._node_lock(node_id):
                 rec = self._begin(node_id, tenant, image, owns_clone=True)
                 try:
-                    self._run_step(rec, "clone", self._step_clone)
-                    self._run_step(rec, "export", self._step_export)
-                    self._run_step(rec, "configure", self._step_configure)
-                    self._run_step(rec, "attach", self._step_attach)
-                    self._step(rec, ProvisionState.READY)
+                    self._stand_up(rec, ("clone", "export", "configure", "attach"))
                 except RollbackReport as report:
                     self._idem_store("provision", idempotency_key, ok=False,
                                      node=node_id, error=report)
@@ -295,17 +295,13 @@ class Orchestrator:
     def deprovision(self, tenant: str, node: str, keep_image: bool = False,
                     idempotency_key: str | None = None) -> None:
         """Tear the node's binding down; the clone is deleted unless kept."""
-        with self._worker_slot():
+        with self._workers:
             prior = self._idem_lookup("deprovision", idempotency_key)
             if prior is not None:
                 self._replay_simple_outcome(prior)
                 return
             with self._node_lock(node):
-                rec = self._owned_record(tenant, node)
-                self.journal.commit({"type": "prov.step", "node": node, "seq": rec.seq,
-                                     "state": ProvisionState.DEPROVISIONING.value,
-                                     "keep_image": keep_image})
-                self._teardown(rec, keep_image)
+                self._retire(self._owned_record(tenant, node), keep_image)
             self._idem_store("deprovision", idempotency_key, ok=True, node=node)
 
     def snapshot(self, tenant: str, node: str, snapshot_name: str) -> str:
@@ -313,18 +309,17 @@ class Orchestrator:
 
         The live clone is renamed and flattened in place (one flatten, no
         other data movement) and the node continues on a fresh linked clone
-        behind the same target name, so its visible bytes never change.
+        that takes the name the rename freed, behind the same target name, so
+        its visible bytes never change.
         """
-        with self._worker_slot():
+        with self._workers:
             with self._node_lock(node):
                 rec = self._owned_record(tenant, node)
-                if self.images.find_by_name(tenant, snapshot_name) is not None:
+                old_clone = rec.clone_image
+                fresh_name = self.images.get(old_clone).name
+                if snapshot_name == fresh_name:  # the rename would be a no-op
                     raise DuplicateName(
                         f"tenant {tenant} already has an image named {snapshot_name!r}")
-                old_clone = rec.clone_image
-                with self._meta:
-                    self._prov_seq += 1
-                    fresh_name = f"{node}-disk-{self._prov_seq}"
                 with self.gateway.fence(rec.target):
                     self.images.rename_image(tenant, old_clone, snapshot_name)
                     self.images.flatten(old_clone)
@@ -340,25 +335,18 @@ class Orchestrator:
         No image data moves; the clone is simply re-exported and the new
         node boots from it.
         """
-        with self._worker_slot():
+        with self._workers:
             with self._node_lock(failed_node):
                 rec = self._owned_record(tenant, failed_node)
                 self.pool.require_failed(failed_node)
                 if rec.state in (ProvisionState.READY, ProvisionState.BOOTED):
                     self._step(rec, ProvisionState.FAILED_NODE)
-                clone, source = rec.clone_image, rec.source_image
-                self.journal.commit({"type": "prov.step", "node": failed_node, "seq": rec.seq,
-                                     "state": ProvisionState.DEPROVISIONING.value,
-                                     "keep_image": True})
-                self._teardown(rec, keep_image=True)
+                self._retire(rec, keep_image=True)
             new_id = self.pool.allocate_node(tenant, new_node)
             with self._node_lock(new_id):
-                rec2 = self._begin(new_id, tenant, source, owns_clone=False,
-                                   clone_image=clone)
-                self._run_step(rec2, "export", self._step_export)
-                self._run_step(rec2, "configure", self._step_configure)
-                self._run_step(rec2, "attach", self._step_attach)
-                self._step(rec2, ProvisionState.READY)
+                rec2 = self._begin(new_id, tenant, rec.source_image, owns_clone=False,
+                                   clone_image=rec.clone_image)
+                self._stand_up(rec2, ("export", "configure", "attach"))
                 return rec2
 
     # -- simulator signals ---------------------------------------------------------
@@ -395,10 +383,6 @@ class Orchestrator:
     def get_traffic(self, tenant: str, node: str) -> dict:
         rec = self._owned_record(tenant, node)
         return self.gateway.get_traffic(rec.target).to_public()
-
-    def history(self) -> list[dict]:
-        with self._meta:
-            return list(self._history)
 
     def records(self) -> list[ProvisionRecord]:
         with self._meta:
@@ -505,19 +489,23 @@ class Orchestrator:
         record.update(extra)
         self.journal.commit(record)
 
-    def _run_step(self, rec: ProvisionRecord, name: str, fn) -> None:
-        try:
-            if self.fault_hook is not None:
-                self.fault_hook(name, rec.node)
-            fn(rec)
-        except MetalforgeError as exc:
-            log.warning("provision step %s failed on %s: %s", name, rec.node, exc)
-            self._compensate(rec)
-            raise RollbackReport(name, exc) from exc
+    def _stand_up(self, rec: ProvisionRecord, steps: tuple[str, ...]) -> None:
+        """Run the named ``_step_<name>`` methods in order, then mark the
+        record ready. A failing step tears the flow down and raises
+        RollbackReport."""
+        for name in steps:
+            try:
+                if self.fault_hook is not None:
+                    self.fault_hook(name, rec.node)
+                getattr(self, f"_step_{name}")(rec)
+            except MetalforgeError as exc:
+                log.warning("provision step %s failed on %s: %s", name, rec.node, exc)
+                self._teardown(rec)
+                raise RollbackReport(name, exc) from exc
+        self._step(rec, ProvisionState.READY)
 
     def _step_clone(self, rec: ProvisionRecord) -> None:
-        clone = self.images.linked_clone(rec.tenant, rec.source_image,
-                                         f"{rec.node}-disk-{rec.seq}")
+        clone = self.images.linked_clone(rec.tenant, rec.source_image, rec.clone_name)
         self._step(rec, ProvisionState.CLONING, clone_image=clone)
 
     def _step_export(self, rec: ProvisionRecord) -> None:
@@ -534,20 +522,29 @@ class Orchestrator:
         self.pool.attach_network(rec.node, rec.tenant)
         self._step(rec, ProvisionState.ATTACHING)
 
-    def _compensate(self, rec: ProvisionRecord) -> None:
-        """Reverse-order, idempotent teardown of a partially built flow.
+    def _retire(self, rec: ProvisionRecord, keep_image: bool) -> None:
+        self._step(rec, ProvisionState.DEPROVISIONING, keep_image=keep_image)
+        self._teardown(rec)
 
-        A crash can land between an artifact's own commit and the record
-        step that names it, so artifacts the record does not know about yet
-        are rediscovered through their deterministic names.
+    def _teardown(self, rec: ProvisionRecord) -> None:
+        """Reverse-order, idempotent teardown of an in-flight or
+        deprovisioning record, ending with its ``prov.end``.
+
+        An in-flight record (a stand-up that failed or crashed) keeps its
+        clone iff it does not own it, and commits ROLLED_BACK first. A crash
+        can land between an artifact's own commit and the record step that
+        names it, so its artifacts are rediscovered through their
+        deterministic names; the image that held the clone name when the
+        flow began is never adopted. A deprovisioning record keeps its clone
+        iff ``keep_image``.
         """
-        clone = rec.clone_image
-        if clone is None and rec.owns_clone:
-            named = self.images.find_by_name(rec.tenant, f"{rec.node}-disk-{rec.seq}")
-            if named is not None:
+        in_flight = rec.state in _IN_FLIGHT
+        clone, target = rec.clone_image, rec.target
+        if in_flight and clone is None and rec.owns_clone:
+            named = self.images.find_by_name(rec.tenant, rec.clone_name)
+            if named is not None and named.id != rec.name_holder:
                 clone = named.id
-        target = rec.target
-        if target is None and clone is not None:
+        if in_flight and target is None and clone is not None:
             target = next((t.name for t in self.gateway.targets() if t.image == clone),
                           None)
         self.pool.detach_network(rec.node)
@@ -557,30 +554,15 @@ class Orchestrator:
                 self.gateway.delete_target(rec.tenant, target)
             except NotFound:
                 pass
-        if rec.owns_clone and clone is not None:
+        keep = not rec.owns_clone if in_flight else rec.keep_image
+        if not keep and clone is not None:
             try:
                 self.images.delete_image(rec.tenant, clone)
             except NotFound:
                 pass
         self.pool.release_node(rec.node)
-        self._step(rec, ProvisionState.ROLLED_BACK)
-        self.journal.commit({"type": "prov.end", "node": rec.node, "seq": rec.seq})
-
-    def _teardown(self, rec: ProvisionRecord, keep_image: bool) -> None:
-        """Forward teardown for deprovision (and its crash resume)."""
-        self.pool.detach_network(rec.node)
-        self.netboot.remove_boot_config(rec.node)
-        if rec.target is not None:
-            try:
-                self.gateway.delete_target(rec.tenant, rec.target)
-            except NotFound:
-                pass
-        if not keep_image and rec.clone_image is not None:
-            try:
-                self.images.delete_image(rec.tenant, rec.clone_image)
-            except NotFound:
-                pass
-        self.pool.release_node(rec.node)
+        if in_flight:
+            self._step(rec, ProvisionState.ROLLED_BACK)
         self.journal.commit({"type": "prov.end", "node": rec.node, "seq": rec.seq})
 
     def _owned_record(self, tenant: str, node: str) -> ProvisionRecord:
@@ -602,14 +584,6 @@ class Orchestrator:
             if lock is None:
                 lock = self._node_locks[node] = threading.RLock()
             return lock
-
-    @contextmanager
-    def _worker_slot(self):
-        self._workers.acquire()
-        try:
-            yield
-        finally:
-            self._workers.release()
 
     # -- idempotency -------------------------------------------------------------------------
 

@@ -185,6 +185,7 @@ class TestHttpTransport:
             assert [r["name"] for r in listing["images"]] == ["wire"]
         finally:
             server.shutdown()
+            server.server_close()
 
     @pytest.mark.parametrize("length", ["abc", "-1"])
     def test_malformed_content_length_is_invalid_request(self, api, length):
@@ -215,6 +216,7 @@ class TestHttpTransport:
             assert json.loads(err.value.read())["code"] == "NotFound"
         finally:
             server.shutdown()
+            server.server_close()
 
 
 def test_bad_mac_registration_is_invalid_request(api):

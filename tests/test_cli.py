@@ -143,6 +143,7 @@ class TestHttpMode:
             assert "AccessDenied" in capsys.readouterr().err
         finally:
             server.shutdown()
+            server.server_close()
             stack.close()
 
 

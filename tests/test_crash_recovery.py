@@ -215,3 +215,27 @@ def test_crashed_commit_leaves_record_unapplied(tmp_path):
     revived = reopen(tmp_path)
     assert revived.pool.counts()["registered"] == before + 1
     revived.close()
+
+
+def test_crashed_rollback_spares_image_holding_the_clone_name(tmp_path):
+    stack = build_stack(tmp_path / "root")
+    image = prep_provision(stack)
+    stack.deprovision(T1, stack.provision(T1, image, node="node-001").node)
+    # the next provision of node-001 (seq 2) wants this name for its clone
+    squatter = stack.images.import_image(T1, "node-001-disk-2", b"tenant data")
+
+    def hook(seq, record):
+        if record["type"] == "node.release":  # mid-rollback of the failed clone
+            raise SimulatedCrash("crash during rollback")
+
+    stack.journal.commit_hook = hook
+    with pytest.raises(SimulatedCrash):
+        stack.provision(T1, image, node="node-001")
+    stack.journal.commit_hook = None
+    stack.images.close()
+    stack.journal.close()
+
+    revived = reopen(tmp_path)
+    assert revived.images.read_range(squatter, 0, 11) == b"tenant data"
+    assert revived.verify_invariants() == []
+    revived.close()

@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from conftest import build_stack
+from conftest import SMALL_BLOCKS, build_stack
 from metalforge.errors import (
     AccessDenied,
     DuplicateName,
@@ -15,7 +15,7 @@ from metalforge.errors import (
 )
 from metalforge.image_store import ImageKind
 from metalforge.journal import Journal
-from metalforge.orchestrator import STATE_EDGES, ProvisionState
+from metalforge.orchestrator import STATE_EDGES, Orchestrator, ProvisionState, StackConfig
 
 BS = 4096
 T1, T2 = "t1", "t2"
@@ -93,7 +93,19 @@ class TestRollback:
         assert stack.records() == []
         assert stack.verify_invariants() == []
         # the record went through rolled_back before removal
-        assert stack.history()[-1]["state"] == "rolled_back"
+        steps = [r for r in Journal.read_records(stack.journal.path) if r["type"] == "prov.step"]
+        assert steps[-1]["state"] == "rolled_back"
+
+    def test_rollback_spares_image_holding_the_clone_name(self, stack):
+        image = seed_image(stack)
+        stack.deprovision(T1, stack.provision(T1, image, node="node-001").node)
+        # the next provision of node-001 (seq 2) wants this name for its clone
+        squatter = seed_image(stack, name="node-001-disk-2", seed=1)
+        with pytest.raises(RollbackReport) as err:
+            stack.provision(T1, image, node="node-001")
+        assert (err.value.failing_step, err.value.cause_code) == ("clone", "DuplicateName")
+        assert stack.images.get(squatter).name == "node-001-disk-2"
+        assert stack.verify_invariants() == []
 
     def test_rollback_then_retry_succeeds(self, stack):
         image = seed_image(stack)
@@ -194,6 +206,37 @@ class TestSnapshot:
         assert stack.images.get(snap).child_count == 4  # 3 new + the original node
         assert stack.verify_invariants() == []
         stack.close()
+
+    def test_fresh_clone_keeps_the_disk_name(self, stack):
+        rec = stack.provision(T1, seed_image(stack))
+        disk = stack.images.get(rec.clone_image).name
+        stack.snapshot(T1, rec.node, "cp")
+        assert stack.images.get(stack.get_record(T1, rec.node).clone_image).name == disk
+
+    def test_kept_disk_survives_reprovision_after_reopen(self, tmp_path):
+        stack = build_stack(tmp_path / "r")
+        image = seed_image(stack)
+        rec = stack.provision(T1, image, node="node-001")
+        stack.snapshot(T1, rec.node, "cp")
+        kept = stack.get_record(T1, rec.node).clone_image
+        stack.deprovision(T1, rec.node, keep_image=True)
+        stack.close()
+
+        stack = Orchestrator.open(tmp_path / "r", StackConfig(store=SMALL_BLOCKS))
+        again = stack.provision(T1, image, node="node-001")
+        assert again.state is ProvisionState.READY
+        assert stack.images.exists(kept)
+        assert stack.verify_invariants() == []
+        stack.close()
+
+    def test_snapshot_named_like_the_live_disk_rejected(self, stack):
+        rec = stack.provision(T1, seed_image(stack))
+        disk = stack.images.get(rec.clone_image).name
+        with pytest.raises(DuplicateName):
+            stack.snapshot(T1, rec.node, disk)
+        assert stack.get_record(T1, rec.node).clone_image == rec.clone_image
+        assert stack.images.get(rec.clone_image).kind is ImageKind.CLONE
+        assert stack.verify_invariants() == []
 
     def test_duplicate_snapshot_name(self, stack):
         image = seed_image(stack)
