@@ -165,10 +165,14 @@ class ApiServer:
             raise AccessDenied("admin token required")
 
     def _resolve_image(self, tenant: str, ref: str) -> str:
-        """Accept an image id or a name visible to the tenant."""
+        """Accept an image id or a name visible to the tenant; the tenant's
+        own image of that name wins over one shared with it."""
         if self.svc.images.exists(ref):
             self.svc.images.check_readable(tenant, ref)
             return ref
+        own = self.svc.images.find_by_name(tenant, ref)
+        if own is not None:
+            return own.id
         for rec in self.svc.images.list_images(tenant):
             if rec.name == ref:
                 return rec.id

@@ -9,6 +9,11 @@ container file per image layer under ``<root>/blocks/``.
 Writability rule: an image accepts writes while it is a golden or clone
 with no children. Growing a child freezes the parent, which is what keeps
 clone read-through stable.
+
+Every golden image that arrives with data (an import or a deep copy) takes
+one new-layer path, ``_new_golden``: reserve an id, store the non-zero
+blocks, re-check the name, commit. Any failure before the commit discards
+the layer file, so a failed import or copy leaves no layer behind.
 """
 
 import io
@@ -18,7 +23,7 @@ import struct
 import threading
 import time
 import zlib
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -112,6 +117,21 @@ class CopyStats:
 
 
 _BLOCK_HEADER = struct.Struct(">QI")  # block index, crc32 of payload
+
+
+def block_spans(offset: int, length: int, block_size: int):
+    """Yield ``(index, lo, hi, pos)`` for each block that the byte range
+    ``[offset, offset + length)`` touches: the range covers bytes
+    ``lo:hi`` of block ``index``, starting ``pos`` bytes into the range."""
+    cursor = offset
+    end = offset + length
+    while cursor < end:
+        index = cursor // block_size
+        block_lo = index * block_size
+        lo = cursor - block_lo
+        hi = min(end - block_lo, block_size)
+        yield index, lo, hi, cursor - offset
+        cursor = block_lo + hi
 
 
 class BlockFile:
@@ -262,11 +282,7 @@ class ImageStore:
             self._by_name.pop((rec.tenant, rec.name), None)
             if rec.parent is not None:
                 self._images[rec.parent].child_count -= 1
-            layer = self._layers.pop(rec.id, None)
-            if layer is not None:
-                layer.unlink()
-            else:
-                self._layer_path(rec.id).unlink(missing_ok=True)
+            self._discard_layer(rec.id)
             self._uses.pop(rec.id, None)
         elif op == "image.flatten":
             rec = self._images[record["id"]]
@@ -307,7 +323,7 @@ class ImageStore:
             raise AccessDenied(f"image {image_id} is not readable by {tenant}")
         return rec
 
-    def _check_owned(self, tenant: str, image_id: str) -> ImageRecord:
+    def check_owned(self, tenant: str, image_id: str) -> ImageRecord:
         rec = self.get(image_id)
         if rec.tenant != tenant:
             raise AccessDenied(f"image {image_id} is not owned by {tenant}")
@@ -373,40 +389,21 @@ class ImageStore:
         boundary. Zero blocks are not stored."""
         if isinstance(stream, (bytes, bytearray)):
             stream = io.BytesIO(stream)
-        with self._meta:
-            self._require_name_free(tenant, name)
-            image_id = self._next_id()
         block_size = self.config.block_size
-        layer = self._layer(image_id)
-        total = 0
-        ingested = 0
-        index = 0
-        try:
-            while True:
-                chunk = stream.read(block_size)
-                if not chunk:
-                    break
-                total += len(chunk)
+        count = 0
+
+        def chunks():
+            nonlocal count
+            while chunk := stream.read(block_size):
                 if len(chunk) < block_size:
                     chunk = chunk + bytes(block_size - len(chunk))
-                if chunk.count(0) != block_size:
-                    layer.write_block(index, chunk)
-                    ingested += 1
-                index += 1
-        except OSError as exc:
-            raise StorageFailure(f"import failed: {exc}") from exc
-        if total == 0:
-            self._discard_layer(image_id)
-            raise InvalidSize("cannot import an empty stream")
-        virtual_size = index * block_size
-        try:
-            with self._meta:
-                self._require_name_free(tenant, name)
-                self.journal.commit(self._create_record(
-                    image_id, tenant, name, ImageKind.GOLDEN, None, virtual_size))
-        except DuplicateName:
-            self._discard_layer(image_id)
-            raise
+                yield count, chunk
+                count += 1
+            if count == 0:
+                raise InvalidSize("cannot import an empty stream")
+
+        image_id, ingested = self._new_golden(tenant, name, chunks(),
+                                              lambda: count * block_size)
         self._bump(blocks_ingested=ingested)
         return image_id
 
@@ -430,7 +427,7 @@ class ImageStore:
         return image_id
 
     def delete_image(self, tenant: str, image_id: str) -> None:
-        rec = self._check_owned(tenant, image_id)
+        rec = self.check_owned(tenant, image_id)
         with rec.lock.write_locked():
             with self._meta:
                 self._require_live(rec)
@@ -443,7 +440,7 @@ class ImageStore:
 
     def rename_image(self, tenant: str, image_id: str, new_name: str) -> None:
         with self._meta:
-            rec = self._check_owned(tenant, image_id)
+            rec = self.check_owned(tenant, image_id)
             if rec.name == new_name:
                 return
             self._require_name_free(tenant, new_name)
@@ -452,7 +449,7 @@ class ImageStore:
     def share_image(self, tenant: str, image_id: str, grantee: str) -> None:
         """Grant another tenant read and clone access."""
         with self._meta:
-            self._check_owned(tenant, image_id)
+            self.check_owned(tenant, image_id)
             self.journal.commit({"type": "image.share", "id": image_id, "grantee": grantee})
 
     def list_images(self, tenant: str) -> list[ImageRecord]:
@@ -500,8 +497,6 @@ class ImageStore:
         """Materialize every ancestor-resolvable block locally, sever the
         parent link and become a snapshot. Returns blocks copied."""
         rec = self.get(image_id)
-        if rec.kind is not ImageKind.CLONE:
-            raise NotAClone(f"image {image_id} is kind={rec.kind.value}")
         with rec.lock.write_locked():
             with self._meta:
                 self._require_live(rec)
@@ -509,20 +504,9 @@ class ImageStore:
                     raise NotAClone(f"image {image_id} is kind={rec.kind.value}")
                 chain = self.chain_of(image_id)
             copied = 0
-            with ExitStack() as stack:
-                for ancestor in chain[1:]:
-                    stack.enter_context(ancestor.lock.read_locked())
-                layer = self._layer(image_id)
-                wanted = set()
-                for ancestor in chain[1:]:
-                    ancestor_layer = self._layer_if_exists(ancestor.id)
-                    if ancestor_layer is not None:
-                        wanted.update(ancestor_layer.indices)
-                wanted.difference_update(layer.indices)
-                for index in sorted(wanted):
-                    payload = self._resolve_block(chain[1:], index)
-                    if payload is None:
-                        continue
+            layer = self._layer(image_id)
+            with closing(self._resolved_blocks(chain[1:], skip=layer.indices)) as blocks:
+                for index, payload in blocks:
                     layer.write_block(index, payload)
                     copied += 1
             with self._meta:
@@ -533,38 +517,9 @@ class ImageStore:
     def deep_copy(self, tenant: str, source_id: str, name: str) -> str:
         """Fully independent golden duplicate of the source's resolved view."""
         self.check_readable(tenant, source_id)
-        with self._meta:
-            self._require_name_free(tenant, name)
-            image_id = self._next_id()
         chain = self.chain_of(source_id)
-        copied = 0
-        with ExitStack() as stack:
-            for rec in chain:
-                stack.enter_context(rec.lock.read_locked())
-            self._require_live(chain[0])
-            layer = self._layer(image_id)
-            wanted = set()
-            for rec in chain:
-                source_layer = self._layer_if_exists(rec.id)
-                if source_layer is not None:
-                    wanted.update(source_layer.indices)
-            try:
-                for index in sorted(wanted):
-                    payload = self._resolve_block(chain, index)
-                    if payload is None or payload.count(0) == len(payload):
-                        continue
-                    layer.write_block(index, payload)
-                    copied += 1
-            except OSError as exc:
-                raise StorageFailure(f"deep copy failed: {exc}") from exc
-        try:
-            with self._meta:
-                self._require_name_free(tenant, name)
-                self.journal.commit(self._create_record(
-                    image_id, tenant, name, ImageKind.GOLDEN, None, chain[0].virtual_size))
-        except DuplicateName:
-            self._discard_layer(image_id)
-            raise
+        image_id, copied = self._new_golden(tenant, name, self._resolved_blocks(chain),
+                                            lambda: chain[0].virtual_size)
         self._bump(blocks_copied=copied, deep_copy_ops=1)
         return image_id
 
@@ -644,6 +599,35 @@ class ImageStore:
             "created_at": time.time(),
         }
 
+    def _new_golden(self, tenant: str, name: str, blocks, size) -> tuple[str, int]:
+        """Store the non-zero payloads of the ``(index, payload)`` generator
+        ``blocks`` as a new layer and commit it as a golden image of
+        ``size()`` bytes under a re-checked name. A failure before the
+        commit closes ``blocks`` (releasing what it holds) and discards the
+        layer. Returns the new id and the number of blocks stored."""
+        with self._meta:
+            self._require_name_free(tenant, name)
+            image_id = self._next_id()
+        stored = 0
+        with ExitStack() as undo:
+            undo.callback(self._discard_layer, image_id)
+            undo.callback(blocks.close)
+            layer = self._layer(image_id)
+            try:
+                for index, payload in blocks:
+                    if payload.count(0) != len(payload):
+                        layer.write_block(index, payload)
+                        stored += 1
+            except OSError as exc:
+                raise StorageFailure(f"storing {image_id} failed: {exc}") from exc
+            with self._meta:
+                self._require_name_free(tenant, name)
+                record = self._create_record(
+                    image_id, tenant, name, ImageKind.GOLDEN, None, size())
+                undo.pop_all()  # from here on the layer belongs to the record
+                self.journal.commit(record)
+        return image_id, stored
+
     def _require_name_free(self, tenant: str, name: str) -> None:
         if not name:
             raise DuplicateName("image name must be non-empty")
@@ -708,20 +692,30 @@ class ImageStore:
                 return payload
         return None
 
+    def _resolved_blocks(self, chain: list[ImageRecord], skip=()):
+        """Yield ``(index, payload)`` in index order for every block that a
+        layer of ``chain`` holds and ``skip`` does not name, resolved
+        through the chain. The chain's read locks are held for the whole
+        walk, which fails with NotFound if ``chain[0]`` is gone."""
+        with ExitStack() as stack:
+            for rec in chain:
+                stack.enter_context(rec.lock.read_locked())
+            self._require_live(chain[0])
+            held = set()
+            for rec in chain:
+                layer = self._layer_if_exists(rec.id)
+                if layer is not None:
+                    held.update(layer.indices)
+            held.difference_update(skip)
+            for index in sorted(held):
+                yield index, self._resolve_block(chain, index)
+
     def _read_resolved(self, chain: list[ImageRecord], offset: int, length: int) -> bytes:
-        block_size = chain[0].block_size
         out = bytearray(length)
-        cursor = offset
-        end = offset + length
-        while cursor < end:
-            index = cursor // block_size
-            block_lo = index * block_size
-            lo = cursor - block_lo
-            hi = min(end - block_lo, block_size)
+        for index, lo, hi, pos in block_spans(offset, length, chain[0].block_size):
             payload = self._resolve_block(chain, index)
             if payload is not None:
-                out[cursor - offset : cursor - offset + (hi - lo)] = payload[lo:hi]
-            cursor = block_lo + hi
+                out[pos : pos + (hi - lo)] = payload[lo:hi]
         return bytes(out)
 
     def _write_blocks(self, chain: list[ImageRecord], offset: int, data: bytes) -> None:
@@ -729,29 +723,20 @@ class ImageStore:
         block_size = rec.block_size
         layer = self._layer(rec.id)
         materialized = 0
-        cursor = offset
-        end = offset + len(data)
         try:
-            while cursor < end:
-                index = cursor // block_size
-                block_lo = index * block_size
-                lo = cursor - block_lo
-                hi = min(end - block_lo, block_size)
-                piece = data[cursor - offset : cursor - offset + (hi - lo)]
+            for index, lo, hi, pos in block_spans(offset, len(data), block_size):
+                piece = data[pos : pos + (hi - lo)]
                 local = layer.read_block(index)
+                if local is None:
+                    materialized += 1
                 if lo == 0 and hi == block_size:
                     payload = piece
-                elif local is not None:
-                    payload = local[:lo] + piece + local[hi:]
                 else:
-                    base = self._resolve_block(chain[1:], index)
+                    base = local if local is not None else self._resolve_block(chain[1:], index)
                     if base is None:
                         base = bytes(block_size)
                     payload = base[:lo] + piece + base[hi:]
-                if local is None:
-                    materialized += 1
                 layer.write_block(index, payload)
-                cursor = block_lo + hi
         except OSError as exc:
             raise StorageFailure(f"write failed: {exc}") from exc
         if materialized:

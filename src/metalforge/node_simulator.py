@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import NoBootConfig, NotBooted, NotFound, TargetGone
+from .image_store import block_spans
 from .orchestrator import Orchestrator
 from .target_gateway import GatewaySession, TrafficCounters
 from .virtual_time import DelayProfile
@@ -280,29 +281,21 @@ class SimNode:
         self._session = self.svc.gateway.session(self.config.node)
         phases.append(("connect", self.profile.connect_ms))
 
-        before = self.svc.gateway.get_traffic(self._target)
         pattern.validate(self._capacity)
         self._touched = set()
         # firmware probes the boot sector before handing off to the OS
-        self._cached_read(0, min(_BOOT_SECTOR_LEN, self._capacity))
-        for entry in pattern.entries:
-            if entry.op == "R":
-                self._cached_read(entry.offset, entry.length)
-            else:
-                self._write(entry.offset, payload_for(entry))
-        after = self.svc.gateway.get_traffic(self._target)
-
-        read_bytes = after.bytes_read - before.bytes_read
-        written = after.bytes_written - before.bytes_written
-        requests = (after.read_ops - before.read_ops) + (after.write_ops - before.write_ops)
-        phases.append(("transfer", self.profile.io_ms(requests, read_bytes + written)))
+        probe = PatternEntry("R", 0, min(_BOOT_SECTOR_LEN, self._capacity))
+        traffic = self._replay((probe, *pattern.entries))
+        requests = traffic.read_ops + traffic.write_ops
+        phases.append(("transfer", self.profile.io_ms(
+            requests, traffic.bytes_read + traffic.bytes_written)))
         self.booted = True
         self.svc.note_booted(self.config.node)
         return BootReport(
             node=self.config.node,
             target=self._target,
-            bytes_read=read_bytes,
-            bytes_written=written,
+            bytes_read=traffic.bytes_read,
+            bytes_written=traffic.bytes_written,
             requests=requests,
             unique_blocks_touched=len(self._touched),
             wall_time_ms=sum(ms for _, ms in phases),
@@ -315,22 +308,7 @@ class SimNode:
         if not self.booted or self.halted:
             raise NotBooted(f"node {self.config.node} is not running")
         trace.validate(self._capacity)
-        deltas = []
-        for _ in range(repetitions):
-            before = self.svc.gateway.get_traffic(self._target)
-            for entry in trace.entries:
-                if entry.op == "R":
-                    self._cached_read(entry.offset, entry.length)
-                else:
-                    self._write(entry.offset, payload_for(entry))
-            after = self.svc.gateway.get_traffic(self._target)
-            deltas.append(TrafficCounters(
-                bytes_read=after.bytes_read - before.bytes_read,
-                bytes_written=after.bytes_written - before.bytes_written,
-                read_ops=after.read_ops - before.read_ops,
-                write_ops=after.write_ops - before.write_ops,
-            ))
-        return deltas
+        return [self._replay(trace.entries) for _ in range(repetitions)]
 
     def inject_failure(self) -> None:
         """Halt the node and report the failure; idempotent."""
@@ -346,12 +324,29 @@ class SimNode:
 
     # -- cached I/O ----------------------------------------------------------
 
+    def _replay(self, entries) -> TrafficCounters:
+        """Run pattern entries through the cache; returns the gateway
+        traffic they caused."""
+        before = self.svc.gateway.get_traffic(self._target)
+        for entry in entries:
+            if entry.op == "R":
+                self._cached_read(entry.offset, entry.length)
+            else:
+                self._write(entry.offset, payload_for(entry))
+        after = self.svc.gateway.get_traffic(self._target)
+        return TrafficCounters(
+            bytes_read=after.bytes_read - before.bytes_read,
+            bytes_written=after.bytes_written - before.bytes_written,
+            read_ops=after.read_ops - before.read_ops,
+            write_ops=after.write_ops - before.write_ops,
+        )
+
     def _cached_read(self, offset: int, length: int) -> bytes:
         if length == 0:
             return b""
         block = self.config.cache_block_size
         if self.config.cache_blocks <= 0:
-            self._note_touch(offset, length)
+            self._touched.update(index for index, *_ in block_spans(offset, length, block))
             return self._session.read(self._target, offset, length)
         first = offset // block
         last = (offset + length - 1) // block
@@ -365,21 +360,14 @@ class SimNode:
                 self._fetch_blocks(run_start, index)
                 run_start = None
         out = bytearray(length)
-        cursor = offset
-        end = offset + length
-        while cursor < end:
-            index = cursor // block
-            block_lo = index * block
-            lo = cursor - block_lo
-            hi = min(end - block_lo, block)
+        for index, lo, hi, pos in block_spans(offset, length, block):
             payload = self.cache.get(index)
             if payload is None:
                 # evicted by this very read's own fetches; small cache
                 self._fetch_blocks(index, index + 1)
                 payload = self.cache.get(index)
-            out[cursor - offset : cursor - offset + hi - lo] = payload[lo:hi]
+            out[pos : pos + hi - lo] = payload[lo:hi]
             self._touched.add(index)
-            cursor = block_lo + hi
         return bytes(out)
 
     def _fetch_blocks(self, first: int, stop: int) -> None:
@@ -397,22 +385,9 @@ class SimNode:
         # write-through: every write reaches the gateway; cached copies are
         # patched in place so later reads stay warm
         self._session.write(self._target, offset, data)
-        block = self.config.cache_block_size
-        cursor = offset
-        end = offset + len(data)
-        while cursor < end:
-            index = cursor // block
-            block_lo = index * block
-            lo = cursor - block_lo
-            hi = min(end - block_lo, block)
-            self.cache.patch(index, lo, data[cursor - offset : cursor - offset + hi - lo])
+        for index, lo, hi, pos in block_spans(offset, len(data), self.config.cache_block_size):
+            self.cache.patch(index, lo, data[pos : pos + hi - lo])
             self._touched.add(index)
-            cursor = block_lo + hi
-
-    def _note_touch(self, offset: int, length: int) -> None:
-        block = self.config.cache_block_size
-        if length > 0:
-            self._touched.update(range(offset // block, (offset + length - 1) // block + 1))
 
 
 class NodeSimulator:

@@ -534,15 +534,17 @@ class Orchestrator:
         clone iff it does not own it, and commits ROLLED_BACK first. A crash
         can land between an artifact's own commit and the record step that
         names it, so its artifacts are rediscovered through their
-        deterministic names; the image that held the clone name when the
-        flow began is never adopted. A deprovisioning record keeps its clone
-        iff ``keep_image``.
+        deterministic names; only an image that ``_step_clone`` could have
+        made (a child of the source image) is adopted, and never the one
+        that held the clone name when the flow began. A deprovisioning
+        record keeps its clone iff ``keep_image``.
         """
         in_flight = rec.state in _IN_FLIGHT
         clone, target = rec.clone_image, rec.target
         if in_flight and clone is None and rec.owns_clone:
             named = self.images.find_by_name(rec.tenant, rec.clone_name)
-            if named is not None and named.id != rec.name_holder:
+            if (named is not None and named.id != rec.name_holder
+                    and named.parent == rec.source_image):
                 clone = named.id
         if in_flight and target is None and clone is not None:
             target = next((t.name for t in self.gateway.targets() if t.image == clone),

@@ -164,9 +164,13 @@ class TargetGateway:
 
     def create_target(self, tenant: str, image_id: str, mode: TargetMode = TargetMode.READ_WRITE,
                       allowed_initiators=()) -> str:
-        """Export an image. One read-write target per image; any number of
-        read-only ones."""
-        self.store.check_readable(tenant, image_id)
+        """Export an image. One read-write target per image, and only by
+        its owner; any number of read-only ones, by any tenant that can
+        read it."""
+        if mode is TargetMode.READ_WRITE:
+            self.store.check_owned(tenant, image_id)
+        else:
+            self.store.check_readable(tenant, image_id)
         with self._meta:
             if mode is TargetMode.READ_WRITE:
                 for rec in self._targets.values():
@@ -197,8 +201,9 @@ class TargetGateway:
     def rebind_target(self, tenant: str, name: str, image_id: str) -> None:
         """Swap the backing image under a live target, preserving its name
         and counters. Used by snapshot, which must keep the endpoint stable
-        while the node moves onto a fresh clone."""
-        self.store.check_readable(tenant, image_id)
+        while the node moves onto a fresh clone. The tenant must own the
+        image."""
+        self.store.check_owned(tenant, image_id)
         with self._meta:
             rec = self._targets.get(name)
             if rec is None:

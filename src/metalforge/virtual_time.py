@@ -45,7 +45,6 @@ class DelayProfile:
     request_ms: float = 0.01
     bandwidth_bytes_per_ms: float = 1024.0 * 1024.0 * 1024.0 / 1000.0  # 1 GiB/s
     journal_commit_ms: float = 0.1
-    commits_per_step: int = 2
     step_ms: dict = field(default_factory=lambda: dict(DEFAULT_STEP_MS))
     diskful_install_ms: float = 10000.0
     worker_limit: int = 12

@@ -115,6 +115,21 @@ class TestEndpoints:
         status, body = api.handle("GET", "/v1/images", {}, "secret-1")
         assert [r["name"] for r in body["images"]] == ["root-disk"]
 
+    def test_own_image_name_wins_over_shared_one(self, api):
+        _, theirs = upload(api, "secret-2", "base", b"\x02" * BS)
+        api.handle("POST", "/v1/images/base/share", {"grantee": "t1"}, "secret-2")
+        _, mine = upload(api, "secret-1", "base", b"\x01" * BS)
+        status, rec = api.handle("PUT", "/v1/provision", {"image": "base"}, "secret-1")
+        assert status == 200 and rec["source_image"] == mine["id"]
+        status, _ = api.handle("POST", "/v1/images/base/rename", {"new_name": "mine"},
+                               "secret-1")
+        assert status == 200
+        assert api.svc.images.get(mine["id"]).name == "mine"
+        assert api.svc.images.get(theirs["id"]).name == "base"
+        # with no image of its own by that name, t1 still reaches the shared one
+        status, body = api.handle("GET", "/v1/images/base/content", {}, "secret-1")
+        assert status == 200 and base64.b64decode(body["content_b64"]) == b"\x02" * BS
+
     def test_nodes_listing_masks_other_tenants(self, api):
         upload(api, "secret-1", "base", b"\x01" * BS)
         _, rec = api.handle("PUT", "/v1/provision", {"image": "base"}, "secret-1")

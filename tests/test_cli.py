@@ -1,11 +1,12 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import build_stack
 from metalforge.api import ApiServer
-from metalforge.bench import BenchSpec, run_bench
+from metalforge.bench import SCENARIOS, BenchSpec, run_bench
 from metalforge.cli import main
 
 BS = 4096
@@ -155,6 +156,12 @@ class TestBench:
         assert first.csv_text == second.csv_text
         assert first.csv_text.splitlines()[0] == \
             "rep,read_bytes,write_bytes,cum_read_bytes,cum_write_bytes"
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_default_csv_matches_golden(self, scenario):
+        # the paper reproduction: seed 0, default parameters, pinned byte for byte
+        golden = Path(__file__).parent / "golden" / f"bench-{scenario}.csv"
+        assert run_bench(BenchSpec(scenario)).csv_text.encode() == golden.read_bytes()
 
     def test_scaling_csv_header_fixed(self, tmp_path):
         result = run_bench(BenchSpec("provision_scaling",

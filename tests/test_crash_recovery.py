@@ -239,3 +239,30 @@ def test_crashed_rollback_spares_image_holding_the_clone_name(tmp_path):
     assert revived.images.read_range(squatter, 0, 11) == b"tenant data"
     assert revived.verify_invariants() == []
     revived.close()
+
+
+def test_crashed_rollback_spares_image_that_took_the_clone_name_mid_flow(tmp_path):
+    stack = build_stack(tmp_path / "root")
+    image = prep_provision(stack)
+    taken = {}
+
+    def fault(step, node):
+        if step == "clone":  # the tenant takes the name before the clone commits
+            taken["id"] = stack.images.import_image(T1, "node-001-disk-1", b"tenant data")
+
+    def crash(seq, record):
+        if taken and record["type"] != "image.create":  # first rollback commit
+            raise SimulatedCrash("crash during rollback")
+
+    stack.fault_hook = fault
+    stack.journal.commit_hook = crash
+    with pytest.raises(SimulatedCrash):
+        stack.provision(T1, image, node="node-001")
+    stack.journal.commit_hook = None
+    stack.images.close()
+    stack.journal.close()
+
+    revived = reopen(tmp_path)
+    assert revived.images.read_range(taken["id"], 0, 11) == b"tenant data"
+    assert revived.verify_invariants() == []
+    revived.close()

@@ -1,4 +1,5 @@
 import random
+import threading
 import time
 
 import pytest
@@ -14,8 +15,9 @@ from metalforge.errors import (
     NotAClone,
     NotFound,
     OutOfBounds,
+    StorageFailure,
 )
-from metalforge.image_store import ImageKind, ImageStore, StoreConfig
+from metalforge.image_store import BlockFile, ImageKind, ImageStore, StoreConfig
 
 BS = 4096
 MIB = 1024 * 1024
@@ -38,6 +40,19 @@ class _SparseStream:
         chunk = chunk + bytes(n - len(chunk))
         self.pos += n
         return chunk
+
+
+class _FailingStream:
+    """Stream whose second read fails, as a dropped upload would."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def read(self, n: int) -> bytes:
+        self.reads += 1
+        if self.reads == 2:
+            raise OSError("connection reset")
+        return b"\x01" * n
 
 
 def test_store_config_validation():
@@ -98,6 +113,13 @@ class TestImport:
         with pytest.raises(InvalidSize):
             store.import_image("t1", "img", b"")
         assert store.orphan_layer_files() == []
+
+    def test_failed_stream_leaves_no_layer(self, store):
+        with pytest.raises(StorageFailure):
+            store.import_image("t1", "img", _FailingStream())
+        assert store.orphan_layer_files() == []
+        assert store._layers == {}
+        assert store.find_by_name("t1", "img") is None
 
     def test_zero_blocks_not_stored(self, store, tmp_path):
         data = bytes(BS) + b"\x01" * BS + bytes(BS)
@@ -268,6 +290,25 @@ class TestDeepCopy:
         rec = store.get(dup)
         assert rec.parent is None and rec.kind is ImageKind.GOLDEN
         assert store.export_image("t1", dup) == view
+
+    def test_failed_copy_leaves_no_layer_and_releases_source(self, store, monkeypatch):
+        src = store.import_image("t1", "src", random.Random(8).randbytes(4 * BS))
+
+        def broken(self, index, payload):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(BlockFile, "write_block", broken)
+        with pytest.raises(StorageFailure):
+            store.deep_copy("t1", src, "dup")
+        monkeypatch.undo()
+        assert store.orphan_layer_files() == []
+        assert store.find_by_name("t1", "dup") is None
+        # the walk's read locks on the source are gone: a write gets through
+        writer = threading.Thread(target=store.write_range, args=(src, 0, b"\x07"))
+        writer.start()
+        writer.join(timeout=5)
+        assert not writer.is_alive()
+        assert store.read_range(src, 0, 1) == b"\x07"
 
     def test_virtual_size_preserved_exactly(self, store):
         src = store.create_image("t1", "odd", 5 * BS + 123)

@@ -107,6 +107,22 @@ class TestRollback:
         assert stack.images.get(squatter).name == "node-001-disk-2"
         assert stack.verify_invariants() == []
 
+    def test_rollback_spares_image_that_took_the_clone_name_mid_flow(self, stack):
+        image = seed_image(stack)
+        taken = {}
+
+        def hook(step, node):
+            if step == "clone":  # the tenant takes the name before the clone commits
+                taken["id"] = seed_image(stack, name="node-001-disk-1", seed=1)
+
+        stack.fault_hook = hook
+        with pytest.raises(RollbackReport) as err:
+            stack.provision(T1, image, node="node-001")
+        stack.fault_hook = None
+        assert (err.value.failing_step, err.value.cause_code) == ("clone", "DuplicateName")
+        assert stack.images.get(taken["id"]).name == "node-001-disk-1"
+        assert stack.verify_invariants() == []
+
     def test_rollback_then_retry_succeeds(self, stack):
         image = seed_image(stack)
         once = {"armed": True}

@@ -172,6 +172,30 @@ class TestAuthorization:
         assert stack.images.export_image(TENANT, image) == before
 
 
+class TestExportOwnership:
+    def test_read_write_export_needs_ownership(self, stack):
+        golden = stack.images.import_image(TENANT, "g", b"A" * 8)
+        stack.images.share_image(TENANT, golden, "t2")
+        node = stack.pool.allocate_node("t2")
+        stack.pool.attach_network(node, "t2")
+        with pytest.raises(AccessDenied):
+            stack.gateway.create_target("t2", golden, TargetMode.READ_WRITE, {node})
+        # read access is still enough for a read-only export
+        ro = stack.gateway.create_target("t2", golden, TargetMode.READ_ONLY, {node})
+        assert stack.gateway.target_read(node, ro, 0, 8) == b"A" * 8
+        assert stack.images.read_range(golden, 0, 8) == b"A" * 8
+
+    def test_rebind_needs_ownership(self, rig):
+        stack, image, node, target = rig
+        foreign = stack.images.import_image("t2", "g", b"B" * 8)
+        stack.images.share_image("t2", foreign, TENANT)
+        with pytest.raises(AccessDenied):
+            stack.gateway.rebind_target(TENANT, target, foreign)
+        assert stack.gateway.get(target).image == image
+        stack.gateway.target_write(node, target, 0, b"EVIL")
+        assert stack.images.read_range(foreign, 0, 8) == b"B" * 8
+
+
 class TestRebind:
     def test_rebind_swaps_backing_image(self, rig):
         stack, image, node, target = rig
