@@ -4,19 +4,13 @@ The dispatcher is transport-independent: ``handle(method, path, body,
 token)`` returns ``(status, payload)``. A thin standard-library HTTP server
 wraps it for real network use; the CLI's local mode calls it in-process.
 
-Fixed surface:
-  PUT    /v1/provision                 {tenant?, node?, image, idempotency_key?}
-  DELETE /v1/provision/<node>          {keep_image?, idempotency_key?}
-  PUT    /v1/snapshot/<node>           {name}
-  PUT    /v1/recover/<node>            {new_node?}
-  GET    /v1/images /v1/nodes /v1/provisions /v1/traffic/<node>
-
-Image management (CLI support):
-  POST   /v1/images                    {name, content_b64}
-  GET    /v1/images/<name>/content
-  POST   /v1/images/<name>/rename      {new_name}
-  POST   /v1/images/<name>/share       {grantee}
-  POST   /v1/nodes                     {mac}    (admin token required)
+``ROUTES`` is the whole surface: one row per endpoint with its method, its
+path under ``/v1`` (a ``<name>`` segment is passed to the handler), who may
+call it, and the JSON type of each body field it reads. Every tenant row
+also reads an optional ``tenant`` field, which must match the token's
+tenant and is required when auth is disabled. Over HTTP, query parameters
+are merged into the body as string fields only, so a ``bool`` field such
+as ``keep_image`` must come in a JSON body.
 
 Errors are returned as {code, message, failing_step?}.
 """
@@ -62,8 +56,14 @@ class ApiServer:
                token: str | None = None) -> tuple[int, dict]:
         body = body or {}
         try:
-            return 200, self._route(method.upper(), path, body,
-                                    _LazyTenant(self, token, body), token)
+            who, kinds, handler, params = _match(method.upper(), path)
+            if who == "admin":
+                caller = self._require_admin(token)
+            else:
+                caller = self._tenant_for(token, body)
+            fields = {key: _field(body, key, kind) for key, kind in kinds.items()}
+            reply = handler(self, caller, *params, **fields)
+            return 200, {"ok": True} if reply is None else reply
         except RollbackReport as exc:
             return _HTTP_STATUS["RollbackReport"], {
                 "code": exc.code,
@@ -76,83 +76,61 @@ class ApiServer:
         except ValueError as exc:
             return 400, {"code": "InvalidRequest", "message": str(exc)}
 
-    # -- routing ----------------------------------------------------------
+    # -- handlers, one per row of ROUTES; None answers {"ok": true} -------
 
-    def _route(self, method: str, path: str, body: dict, tenant: "_LazyTenant",
-               token: str | None) -> dict:
-        parts = [p for p in path.split("/") if p]
-        if len(parts) < 2 or parts[0] != "v1":
-            raise NotFound(f"no such endpoint {path}")
-        head = parts[1]
-        rest = parts[2:]
+    def _provision(self, tenant: str, image: str, node: str | None,
+                   idempotency_key: str | None) -> dict:
+        image = self._resolve_image(tenant, image)
+        return self.svc.provision(tenant, image, node, idempotency_key).to_public()
 
-        if head == "provision" and not rest:
-            if method == "PUT":
-                image = self._resolve_image(tenant(), _require(body, "image"))
-                rec = self.svc.provision(tenant(), image, body.get("node"),
-                                         body.get("idempotency_key"))
-                return rec.to_public()
-        elif head == "provision" and len(rest) == 1:
-            if method == "DELETE":
-                self.svc.deprovision(tenant(), rest[0], bool(body.get("keep_image")),
-                                     body.get("idempotency_key"))
-                return {"ok": True}
-        elif head == "snapshot" and len(rest) == 1:
-            if method == "PUT":
-                image = self.svc.snapshot(tenant(), rest[0], _require(body, "name"))
-                return {"image": image}
-        elif head == "recover" and len(rest) == 1:
-            if method == "PUT":
-                rec = self.svc.recover(tenant(), rest[0], body.get("new_node"))
-                return rec.to_public()
-        elif head == "images":
-            return self._route_images(method, rest, body, tenant())
-        elif head == "nodes":
-            if method == "GET" and not rest:
-                return {"nodes": self.svc.list_nodes(tenant())}
-            if method == "POST" and not rest:
-                self._require_admin(token)
-                return {"node": self.svc.pool.register_node(_require(body, "mac"))}
-        elif head == "provisions" and not rest:
-            if method == "GET":
-                return {"provisions": self.svc.list_provisions(tenant())}
-        elif head == "traffic" and len(rest) == 1:
-            if method == "GET":
-                return self.svc.get_traffic(tenant(), rest[0])
-        raise NotFound(f"no such endpoint {method} {path}")
+    def _deprovision(self, tenant: str, node: str, keep_image: bool | None,
+                     idempotency_key: str | None) -> None:
+        self.svc.deprovision(tenant, node, bool(keep_image), idempotency_key)
 
-    def _route_images(self, method: str, rest: list, body: dict, tenant: str) -> dict:
-        if not rest:
-            if method == "GET":
-                return {"images": [r.to_public() for r in self.svc.images.list_images(tenant)]}
-            if method == "POST":
-                payload = base64.b64decode(_require(body, "content_b64"))
-                image = self.svc.images.import_image(tenant, _require(body, "name"), payload)
-                return self.svc.images.get(image).to_public()
-        elif len(rest) == 2:
-            name, action = rest
-            image = self._resolve_image(tenant, name)
-            if action == "content" and method == "GET":
-                data = self.svc.images.export_image(tenant, image)
-                return {"name": name, "content_b64": base64.b64encode(data).decode("ascii")}
-            if action == "rename" and method == "POST":
-                self.svc.images.rename_image(tenant, image, _require(body, "new_name"))
-                return {"ok": True}
-            if action == "share" and method == "POST":
-                self.svc.images.share_image(tenant, image, _require(body, "grantee"))
-                return {"ok": True}
-        raise NotFound("no such image endpoint")
+    def _snapshot(self, tenant: str, node: str, name: str) -> dict:
+        return {"image": self.svc.snapshot(tenant, node, name)}
+
+    def _recover(self, tenant: str, node: str, new_node: str | None) -> dict:
+        return self.svc.recover(tenant, node, new_node).to_public()
+
+    def _list_images(self, tenant: str) -> dict:
+        return {"images": [r.to_public() for r in self.svc.images.list_images(tenant)]}
+
+    def _import_image(self, tenant: str, name: str, content_b64: str) -> dict:
+        image = self.svc.images.import_image(tenant, name, base64.b64decode(content_b64))
+        return self.svc.images.get(image).to_public()
+
+    def _export_image(self, tenant: str, name: str) -> dict:
+        data = self.svc.images.export_image(tenant, self._resolve_image(tenant, name))
+        return {"name": name, "content_b64": base64.b64encode(data).decode("ascii")}
+
+    def _rename_image(self, tenant: str, name: str, new_name: str) -> None:
+        self.svc.images.rename_image(tenant, self._resolve_image(tenant, name), new_name)
+
+    def _share_image(self, tenant: str, name: str, grantee: str) -> None:
+        self.svc.images.share_image(tenant, self._resolve_image(tenant, name), grantee)
+
+    def _list_nodes(self, tenant: str) -> dict:
+        return {"nodes": self.svc.list_nodes(tenant)}
+
+    def _register_node(self, _admin: None, mac: str) -> dict:
+        return {"node": self.svc.pool.register_node(mac)}
+
+    def _list_provisions(self, tenant: str) -> dict:
+        return {"provisions": self.svc.list_provisions(tenant)}
+
+    def _traffic(self, tenant: str, node: str) -> dict:
+        return self.svc.get_traffic(tenant, node)
 
     # -- helpers ----------------------------------------------------------
 
     def _tenant_for(self, token: str | None, body: dict) -> str:
         resolved = self.svc.authenticate(token)
-        claimed = body.get("tenant")
+        claimed = _field(body, "tenant", str | None)
         if resolved is None:
-            tenant = claimed
-            if not tenant:
+            if not claimed:
                 raise InvalidRequest("tenant is required when auth is disabled")
-            return tenant
+            return claimed
         if claimed and claimed != resolved:
             raise AccessDenied(f"token does not belong to tenant {claimed}")
         return resolved
@@ -179,27 +157,72 @@ class ApiServer:
         raise NotFound(f"image {ref} does not exist")
 
 
-def _require(body: dict, key: str):
+# One row per endpoint: method, path under /v1 (its first segment is literal;
+# each <name> segment is passed to the handler), who may call it ("tenant":
+# the token's tenant, or the tenant field when auth is disabled; "admin": the
+# admin token), the JSON type of each body field it reads (str is required,
+# str | None and bool | None optional), and the handler, called as
+# handler(api, caller, *segments, **fields).
+ROUTES = [
+    ("PUT", "/provision", "tenant",
+     {"image": str, "node": str | None, "idempotency_key": str | None}, ApiServer._provision),
+    ("DELETE", "/provision/<node>", "tenant",
+     {"keep_image": bool | None, "idempotency_key": str | None}, ApiServer._deprovision),
+    ("PUT", "/snapshot/<node>", "tenant", {"name": str}, ApiServer._snapshot),
+    ("PUT", "/recover/<node>", "tenant", {"new_node": str | None}, ApiServer._recover),
+    ("GET", "/images", "tenant", {}, ApiServer._list_images),
+    ("POST", "/images", "tenant", {"name": str, "content_b64": str}, ApiServer._import_image),
+    ("GET", "/images/<name>/content", "tenant", {}, ApiServer._export_image),
+    ("POST", "/images/<name>/rename", "tenant", {"new_name": str}, ApiServer._rename_image),
+    ("POST", "/images/<name>/share", "tenant", {"grantee": str}, ApiServer._share_image),
+    ("GET", "/nodes", "tenant", {}, ApiServer._list_nodes),
+    ("POST", "/nodes", "admin", {"mac": str}, ApiServer._register_node),
+    ("GET", "/provisions", "tenant", {}, ApiServer._list_provisions),
+    ("GET", "/traffic/<node>", "tenant", {}, ApiServer._traffic),
+]
+
+
+def _index(routes: list[tuple]) -> dict[tuple, list[tuple]]:
+    """Group rows by (method, segment count, first segment), so a request
+    is compared only against the few rows that can match it. Each entry
+    holds the row's literal segments by position and its <name> positions,
+    counted in the request path, where "v1" is segment 0."""
+    index: dict = {}
+    for method, path, *rest in routes:
+        segments = ["v1", *path.strip("/").split("/")]
+        literals = [(i, s) for i, s in enumerate(segments) if s[0] != "<"]
+        slots = [i for i, s in enumerate(segments) if s[0] == "<"]
+        index.setdefault((method, len(segments), segments[1]), []).append(
+            (literals, slots, *rest))
+    return index
+
+
+_INDEX = _index(ROUTES)
+
+
+def _match(method: str, path: str) -> tuple:
+    """(who may call, field types, handler, segment values) of the matching row."""
+    parts = list(filter(None, path.split("/")))
+    if len(parts) >= 2:
+        for literals, slots, who, kinds, handler in _INDEX.get((method, len(parts), parts[1]), ()):
+            for i, literal in literals:
+                if parts[i] != literal:
+                    break
+            else:
+                return who, kinds, handler, [parts[i] for i in slots]
+    raise NotFound(f"no such endpoint {method} {path}")
+
+
+def _field(body: dict, key: str, kind):
+    """The one type check on request fields; ``kind`` is ``str`` for a
+    required string or ``<type> | None`` for an optional one."""
     value = body.get(key)
-    if value is None:
+    if value is None and kind is str:
         raise InvalidRequest(f"missing required field {key!r}")
+    if not isinstance(value, kind):
+        raise InvalidRequest(f"field {key!r} must be {getattr(kind, '__name__', kind)}, "
+                             f"not {type(value).__name__}")
     return value
-
-
-class _LazyTenant:
-    """Defers tenant resolution so admin-only routes work with the admin
-    token alone."""
-
-    def __init__(self, api: ApiServer, token: str | None, body: dict):
-        self.api = api
-        self.token = token
-        self.body = body
-        self._resolved: str | None = None
-
-    def __call__(self) -> str:
-        if self._resolved is None:
-            self._resolved = self.api._tenant_for(self.token, self.body)
-        return self._resolved
 
 
 # -- standard-library HTTP adapter ---------------------------------------------
@@ -220,10 +243,13 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(length)
         if length:
             try:
-                body.update(json.loads(self.rfile.read(length).decode("utf-8")))
+                fields = json.loads(self.rfile.read(length).decode("utf-8"))
             except ValueError:
+                fields = None
+            if not isinstance(fields, dict):
                 self._reply(400, {"code": "InvalidRequest", "message": "bad JSON body"})
                 return
+            body.update(fields)
         token = None
         auth = self.headers.get("Authorization") or ""
         if auth.startswith("Bearer "):

@@ -1,9 +1,10 @@
 """Operator and tenant command-line client.
 
-Every command is a thin 1:1 mapping onto the JSON API. ``--api`` selects
-the endpoint: an ``http://`` URL talks to a served stack, anything else is
-treated as a persistence root opened in-process (the default mode for
-single-host use and for the benchmark harness).
+Every client command is a thin 1:1 mapping onto the JSON API: one row of
+``COMMANDS`` per row of ``api.ROUTES``. ``--api`` selects the endpoint: an
+``http://`` URL talks to a served stack, anything else is treated as a
+persistence root opened in-process (the default mode for single-host use
+and for the benchmark harness).
 """
 
 import argparse
@@ -64,124 +65,91 @@ def make_client(args) -> LocalClient | HttpClient:
     return LocalClient(api, args.token)
 
 
-def _body(args, **fields) -> dict:
-    body = {k: v for k, v in fields.items() if v is not None}
+# -- client commands ----------------------------------------------------------
+
+
+def _say(template: str):
+    """Print one line filled from the reply and the command's arguments."""
+    return lambda args, payload: print(template.format_map({**vars(args), **payload}))
+
+
+def _each(key: str, template: str):
+    """Print one line per record of the reply's ``key`` list."""
+    def show(args, payload):
+        for rec in payload[key]:
+            print(template.format_map(rec))
+    return show
+
+
+def _show_nodes(args, payload):
+    for n in payload["nodes"]:
+        owner = n["tenant"] or "-"
+        print(f"{n['id']}  mac={n['mac']}  {n['pool_state']}  "
+              f"health={n['health']}  tenant={owner}")
+
+
+_GROUPS = {"image": "image management", "node": "node pool"}
+_KEY = ("--key", {"dest": "idempotency_key", "metavar": "KEY", "help": "idempotency key"})
+
+# One row per API endpoint: words, help, method, API path ("{arg}" is filled
+# from the argument of that name), arguments (a name or flag, alone or with
+# its add_argument options), and the printer of a reply. Every argument
+# that is neither a path segment nor ``file`` is sent as the body field of its
+# name; ``file`` is read into ``content_b64`` on upload and written from it on
+# download.
+COMMANDS = [
+    (("image", "upload"), None, "POST", "/v1/images", ["name", "file"],
+     _say("image {id} name={name} size={virtual_size}")),
+    (("image", "list"), None, "GET", "/v1/images", [],
+     _each("images", "{id}  {name}  kind={kind} size={virtual_size} children={child_count}")),
+    (("image", "share"), None, "POST", "/v1/images/{name}/share", ["name", "grantee"],
+     _say("shared")),
+    (("image", "rename"), None, "POST", "/v1/images/{name}/rename", ["name", "new_name"],
+     _say("renamed")),
+    (("image", "download"), None, "GET", "/v1/images/{name}/content", ["name", "file"],
+     _say("wrote {file}")),
+    (("node", "list"), None, "GET", "/v1/nodes", [], _show_nodes),
+    (("node", "register"), None, "POST", "/v1/nodes", ["mac"], _say("registered {node}")),
+    (("provision",), "stand a node up from an image", "PUT", "/v1/provision",
+     [("--image", {"required": True}), "--node", _KEY],
+     _say("node {node} state={state} clone={clone_image} target={target}")),
+    (("deprovision",), "tear a node down", "DELETE", "/v1/provision/{node}",
+     ["node", ("--keep-image", {"action": "store_true"}), _KEY], _say("deprovisioned {node}")),
+    (("snapshot",), "freeze a node's disk as an image", "PUT", "/v1/snapshot/{node}",
+     ["node", "name"], _say("snapshot image {image}")),
+    (("recover",), "re-export a failed node's disk", "PUT", "/v1/recover/{node}",
+     ["node", "--new-node"], _say("recovered onto {node} state={state}")),
+    (("traffic",), "gateway counters for a node", "GET", "/v1/traffic/{node}", ["node"],
+     _say("read={bytes_read}B/{read_ops}ops write={bytes_written}B/{write_ops}ops")),
+    (("provisions",), "list live provision records", "GET", "/v1/provisions", [],
+     _each("provisions", "{node}  state={state}  clone={clone_image} target={target}")),
+]
+
+
+def run_command(args, client) -> int:
+    method, path, show = args.request
+    body = {key: getattr(args, key) for key in args.fields if getattr(args, key) is not None}
     if args.tenant:
         body["tenant"] = args.tenant
-    return body
-
-
-def _emit(args, status: int, payload: dict, human=None) -> int:
-    if status == 200:
-        if args.json or human is None:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            human(payload)
-        return 0
-    code = payload.get("code", "InternalError")
-    message = payload.get("message", "")
-    step = payload.get("failing_step")
-    detail = f" (failing step: {step})" if step else ""
-    print(f"error {code}: {message}{detail}", file=sys.stderr)
-    return 1
-
-
-# -- command implementations ----------------------------------------------------
-
-
-def cmd_image(args, client) -> int:
-    if args.image_cmd == "upload":
-        content = open(args.file, "rb").read()
-        status, payload = client.request("POST", "/v1/images", _body(
-            args, name=args.name,
-            content_b64=base64.b64encode(content).decode("ascii")))
-        return _emit(args, status, payload,
-                     lambda p: print(f"image {p['id']} name={p['name']} "
-                                     f"size={p['virtual_size']}"))
-    if args.image_cmd == "list":
-        status, payload = client.request("GET", "/v1/images", _body(args))
-
-        def show(p):
-            for rec in p["images"]:
-                print(f"{rec['id']}  {rec['name']}  kind={rec['kind']} "
-                      f"size={rec['virtual_size']} children={rec['child_count']}")
-        return _emit(args, status, payload, show)
-    if args.image_cmd == "share":
-        status, payload = client.request(
-            "POST", f"/v1/images/{args.name}/share", _body(args, grantee=args.grantee))
-        return _emit(args, status, payload, lambda p: print("shared"))
-    if args.image_cmd == "rename":
-        status, payload = client.request(
-            "POST", f"/v1/images/{args.name}/rename", _body(args, new_name=args.new_name))
-        return _emit(args, status, payload, lambda p: print("renamed"))
-    if args.image_cmd == "download":
-        status, payload = client.request("GET", f"/v1/images/{args.name}/content",
-                                         _body(args))
-        if status == 200:
-            with open(args.file, "wb") as fh:
-                fh.write(base64.b64decode(payload["content_b64"]))
-            if not args.json:
-                print(f"wrote {args.file}")
-                return 0
-            payload = {"name": payload["name"], "path": args.file}
-        return _emit(args, status, payload)
-    raise SystemExit(2)
-
-
-def cmd_node(args, client) -> int:
-    status, payload = client.request("GET", "/v1/nodes", _body(args))
-
-    def show(p):
-        for n in p["nodes"]:
-            owner = n["tenant"] or "-"
-            print(f"{n['id']}  mac={n['mac']}  {n['pool_state']}  "
-                  f"health={n['health']}  tenant={owner}")
-    return _emit(args, status, payload, show)
-
-
-def cmd_provision(args, client) -> int:
-    status, payload = client.request("PUT", "/v1/provision", _body(
-        args, image=args.image, node=args.node, idempotency_key=args.key))
-    return _emit(args, status, payload,
-                 lambda p: print(f"node {p['node']} state={p['state']} "
-                                 f"clone={p['clone_image']} target={p['target']}"))
-
-
-def cmd_deprovision(args, client) -> int:
-    status, payload = client.request("DELETE", f"/v1/provision/{args.node}", _body(
-        args, keep_image=args.keep_image, idempotency_key=args.key))
-    return _emit(args, status, payload, lambda p: print(f"deprovisioned {args.node}"))
-
-
-def cmd_snapshot(args, client) -> int:
-    status, payload = client.request("PUT", f"/v1/snapshot/{args.node}",
-                                     _body(args, name=args.name))
-    return _emit(args, status, payload,
-                 lambda p: print(f"snapshot image {p['image']}"))
-
-
-def cmd_recover(args, client) -> int:
-    status, payload = client.request("PUT", f"/v1/recover/{args.node}",
-                                     _body(args, new_node=args.new_node))
-    return _emit(args, status, payload,
-                 lambda p: print(f"recovered onto {p['node']} state={p['state']}"))
-
-
-def cmd_traffic(args, client) -> int:
-    status, payload = client.request("GET", f"/v1/traffic/{args.node}", _body(args))
-    return _emit(args, status, payload,
-                 lambda p: print(f"read={p['bytes_read']}B/{p['read_ops']}ops "
-                                 f"write={p['bytes_written']}B/{p['write_ops']}ops"))
-
-
-def cmd_provisions(args, client) -> int:
-    status, payload = client.request("GET", "/v1/provisions", _body(args))
-
-    def show(p):
-        for rec in p["provisions"]:
-            print(f"{rec['node']}  state={rec['state']}  clone={rec['clone_image']} "
-                  f"target={rec['target']}")
-    return _emit(args, status, payload, show)
+    if "file" in args and method == "POST":
+        with open(args.file, "rb") as fh:
+            body["content_b64"] = base64.b64encode(fh.read()).decode("ascii")
+    status, payload = client.request(method, path.format_map(vars(args)), body)
+    if status != 200:
+        code = payload.get("code", "InternalError")
+        step = payload.get("failing_step")
+        detail = f" (failing step: {step})" if step else ""
+        print(f"error {code}: {payload.get('message', '')}{detail}", file=sys.stderr)
+        return 1
+    if "file" in args and method == "GET":
+        with open(args.file, "wb") as fh:
+            fh.write(base64.b64decode(payload["content_b64"]))
+        payload = {"name": payload["name"], "path": args.file}
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        show(args, payload)
+    return 0
 
 
 def cmd_bench(args) -> int:
@@ -226,6 +194,7 @@ def cmd_serve(args) -> int:
         pass
     finally:
         server.shutdown()
+        server.server_close()
         svc.close()
     return 0
 
@@ -254,49 +223,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--token", help="API token")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    image = sub.add_parser("image", help="image management")
-    image_sub = image.add_subparsers(dest="image_cmd", required=True)
-    up = image_sub.add_parser("upload")
-    up.add_argument("name")
-    up.add_argument("file")
-    image_sub.add_parser("list")
-    share = image_sub.add_parser("share")
-    share.add_argument("name")
-    share.add_argument("grantee")
-    rename = image_sub.add_parser("rename")
-    rename.add_argument("name")
-    rename.add_argument("new_name")
-    down = image_sub.add_parser("download")
-    down.add_argument("name")
-    down.add_argument("file")
-
-    node = sub.add_parser("node", help="node pool")
-    node_sub = node.add_subparsers(dest="node_cmd", required=True)
-    node_sub.add_parser("list")
-
-    prov = sub.add_parser("provision", help="stand a node up from an image")
-    prov.add_argument("--image", required=True)
-    prov.add_argument("--node")
-    prov.add_argument("--key", help="idempotency key")
-
-    deprov = sub.add_parser("deprovision", help="tear a node down")
-    deprov.add_argument("node")
-    deprov.add_argument("--keep-image", action="store_true")
-    deprov.add_argument("--key", help="idempotency key")
-
-    snap = sub.add_parser("snapshot", help="freeze a node's disk as an image")
-    snap.add_argument("node")
-    snap.add_argument("name")
-
-    rec = sub.add_parser("recover", help="re-export a failed node's disk")
-    rec.add_argument("node")
-    rec.add_argument("--new-node")
-
-    traffic = sub.add_parser("traffic", help="gateway counters for a node")
-    traffic.add_argument("node")
-
-    sub.add_parser("provisions", help="list live provision records")
+    groups = {group: sub.add_parser(group, help=text).add_subparsers(
+        dest=f"{group}_cmd", required=True) for group, text in _GROUPS.items()}
+    for words, help_text, method, path, arguments, show in COMMANDS:
+        parent = groups[words[0]] if len(words) == 2 else sub
+        # argparse lists a subcommand's help line only when help is passed
+        cmd = parent.add_parser(words[-1], **({"help": help_text} if help_text else {}))
+        fields = []
+        for arg in arguments:
+            flag, options = (arg, {}) if isinstance(arg, str) else arg
+            dest = cmd.add_argument(flag, **options).dest
+            if dest != "file" and "{" + dest + "}" not in path:
+                fields.append(dest)
+        cmd.set_defaults(request=(method, path, show), fields=fields)
 
     bench = sub.add_parser("bench", help="run a benchmark scenario")
     bench.add_argument("scenario", choices=SCENARIOS)
@@ -315,18 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CLIENT_COMMANDS = {
-    "provision": cmd_provision,
-    "deprovision": cmd_deprovision,
-    "snapshot": cmd_snapshot,
-    "recover": cmd_recover,
-    "traffic": cmd_traffic,
-    "provisions": cmd_provisions,
-    "node": cmd_node,
-    "image": cmd_image,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "bench":
@@ -335,7 +262,7 @@ def main(argv=None) -> int:
         return cmd_serve(args)
     client = make_client(args)
     try:
-        return _CLIENT_COMMANDS[args.command](args, client)
+        return run_command(args, client)
     finally:
         client.close()
 

@@ -236,6 +236,7 @@ class ImageStore:
         self._stats_lock = threading.Lock()
         self._stats = CopyStats()
         self._seq = 0
+        self._owns_journal = False  # True for a store made by open(); close() closes it
         journal.register("image", self.apply)
 
     @classmethod
@@ -244,6 +245,7 @@ class ImageStore:
         root = Path(root)
         journal = Journal(root / "journal.log")
         store = cls(root, journal, config)
+        store._owns_journal = True
         journal.replay()
         store.cleanup_orphan_layers()
         return store
@@ -253,6 +255,8 @@ class ImageStore:
             for layer in self._layers.values():
                 layer.close()
             self._layers.clear()
+        if self._owns_journal:
+            self.journal.close()
 
     # -- journal replay -------------------------------------------------
 

@@ -168,10 +168,41 @@ class TestErrors:
         status, body = api.handle("PUT", "/v1/provision", {}, "secret-1")
         assert status == 400 and body["code"] == "InvalidRequest"
 
+    def test_unknown_endpoint_is_404_before_auth(self, api):
+        status, body = api.handle("GET", "/v1/images/base/bogus", {})
+        assert status == 404 and body["code"] == "NotFound"
+
+    def test_string_keep_image_is_invalid_and_deletes_nothing(self, api):
+        upload(api, "secret-1", "base", b"\x01" * BS)
+        _, rec = api.handle("PUT", "/v1/provision", {"image": "base"}, "secret-1")
+        status, body = api.handle("DELETE", f"/v1/provision/{rec['node']}",
+                                  {"keep_image": "false"}, "secret-1")
+        assert status == 400 and body["code"] == "InvalidRequest"
+        assert [r["node"] for r in api.svc.list_provisions("t1")] == [rec["node"]]
+        assert api.svc.images.exists(rec["clone_image"])
+
     def test_conflict_maps_to_409(self, api):
         upload(api, "secret-1", "dup", b"\x01" * BS)
         status, body = upload(api, "secret-1", "dup", b"\x01" * BS)
         assert status == 409 and body["code"] == "DuplicateName"
+
+
+@pytest.mark.parametrize("method, path, body", [
+    ("GET", "/v1/images", {"tenant": ["t1"]}),
+    ("POST", "/v1/images/base/rename", {"tenant": "t1", "new_name": ["x"]}),
+    ("PUT", "/v1/provision", {"tenant": "t1", "image": 7}),
+    ("PUT", "/v1/provision", {"tenant": "t1", "image": "base", "node": 1}),
+])
+def test_field_of_wrong_type_is_invalid_request(tmp_path, method, path, body):
+    stack = build_stack(tmp_path / "open", nodes=1)  # no auth table
+    stack.images.import_image("t1", "base", b"\x01" * BS)
+    try:
+        status, reply = ApiServer(stack).handle(method, path, body)
+        assert status == 400 and reply["code"] == "InvalidRequest"
+        assert stack.images.find_by_name("t1", "base") is not None
+        assert stack.list_provisions("t1") == []
+    finally:
+        stack.close()
 
 
 class TestHttpTransport:
@@ -209,6 +240,41 @@ class TestHttpTransport:
             with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
                 sock.sendall(f"POST /v1/images HTTP/1.1\r\nHost: x\r\n"
                              f"Content-Length: {length}\r\n\r\n".encode())
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n")[0].split()[1] == b"400"
+            assert json.loads(body)["code"] == "InvalidRequest"
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_query_string_keep_image_is_invalid_and_deletes_nothing(self, api):
+        upload(api, "secret-1", "base", b"\x01" * BS)
+        _, rec = api.handle("PUT", "/v1/provision", {"image": "base"}, "secret-1")
+        server, port = serve_background(api)
+        try:
+            req = urllib.request.Request(
+                f"http://127.0.0.1:{port}/v1/provision/{rec['node']}"
+                f"?tenant=t1&keep_image=false",
+                method="DELETE", headers={"Authorization": "Bearer secret-1"})
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(req)
+            assert err.value.code == 400
+            assert json.loads(err.value.read())["code"] == "InvalidRequest"
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert [r["node"] for r in api.svc.list_provisions("t1")] == [rec["node"]]
+        assert api.svc.images.exists(rec["clone_image"])
+
+    def test_non_object_json_body_is_invalid_request(self, api):
+        server, port = serve_background(api)
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                sock.sendall(b"POST /v1/images HTTP/1.1\r\nHost: x\r\n"
+                             b"Content-Length: 5\r\n\r\n[1,2]")
                 reply = b""
                 while chunk := sock.recv(4096):
                     reply += chunk

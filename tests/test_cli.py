@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import build_stack
 from metalforge.api import ApiServer
 from metalforge.bench import SCENARIOS, BenchSpec, run_bench
 from metalforge.cli import main
+from metalforge.orchestrator import Orchestrator
 
 BS = 4096
 
@@ -75,6 +77,107 @@ class TestCommands:
         assert run_cli(root, "--tenant", "t1", "node", "list") == 0
         out = capsys.readouterr().out
         assert out.count("free") == 3
+
+
+    def test_node_register(self, root, capsys):
+        assert run_cli(root, "node", "register", "02:00:00:00:99:01") == 0
+        assert capsys.readouterr().out == "registered node-004\n"
+        assert run_cli(root, "--tenant", "t1", "node", "list") == 0
+        assert "node-004  mac=02:00:00:00:99:01  free" in capsys.readouterr().out
+
+
+def test_every_route_has_one_command():
+    from metalforge.api import ROUTES
+    from metalforge.cli import COMMANDS
+
+    commands = [(method, path) for _, _, method, path, _, _ in COMMANDS]
+    for method, path, *_ in ROUTES:
+        path = "/v1" + re.sub(r"<(\w+)>", r"{\1}", path)
+        assert commands.count((method, path)) == 1, (method, path)
+    assert len(commands) == len(ROUTES)
+
+
+class TestOutput:
+    """Human output of every client command, pinned byte for byte."""
+
+    def test_human_output_is_pinned(self, root, tmp_path, capsys):
+        src = tmp_path / "in.img"
+        src.write_bytes(random.Random(1).randbytes(3 * BS + 5))
+        t1 = ["--tenant", "t1"]
+
+        def check(argv, expected):
+            assert run_cli(root, *argv) == 0, argv
+            assert capsys.readouterr().out == expected, argv
+
+        check([*t1, "image", "upload", "disk", str(src)],
+              "image img-000002 name=disk size=16384\n")
+        check([*t1, "image", "list"],
+              "img-000001  base  kind=golden size=65536 children=0\n"
+              "img-000002  disk  kind=golden size=16384 children=0\n")
+        check([*t1, "image", "share", "base", "t2"], "shared\n")
+        check([*t1, "image", "rename", "disk", "disk2"], "renamed\n")
+        check([*t1, "image", "download", "disk2", str(tmp_path / "out.img")],
+              f"wrote {tmp_path / 'out.img'}\n")
+        check([*t1, "--json", "image", "download", "disk2", str(tmp_path / "out2.img")],
+              f'{{\n  "name": "disk2",\n  "path": "{tmp_path / "out2.img"}"\n}}\n')
+        check([*t1, "node", "list"],
+              "node-001  mac=02:00:00:00:00:00  free  health=ok  tenant=-\n"
+              "node-002  mac=02:00:00:00:00:01  free  health=ok  tenant=-\n"
+              "node-003  mac=02:00:00:00:00:02  free  health=ok  tenant=-\n")
+        target = "iqn.2025-01.org.metalforge:t1:img-00000"
+        check([*t1, "provision", "--image", "base"],
+              f"node node-001 state=ready clone=img-000003 target={target}3\n")
+        check(["--tenant", "t2", "node", "list"],
+              "node-001  mac=02:00:00:00:00:00  allocated  health=ok  tenant=-\n"
+              "node-002  mac=02:00:00:00:00:01  free  health=ok  tenant=-\n"
+              "node-003  mac=02:00:00:00:00:02  free  health=ok  tenant=-\n")
+        check([*t1, "traffic", "node-001"], "read=0B/0ops write=0B/0ops\n")
+        check([*t1, "snapshot", "node-001", "cp"], "snapshot image img-000003\n")
+        check([*t1, "provisions"],
+              f"node-001  state=ready  clone=img-000004 target={target}3\n")
+        svc = Orchestrator.open(root)
+        svc.note_node_failed("node-001")
+        svc.close()
+        check([*t1, "recover", "node-001"], "recovered onto node-002 state=ready\n")
+        check([*t1, "provisions"],
+              f"node-002  state=ready  clone=img-000004 target={target}4\n")
+        check([*t1, "deprovision", "node-002", "--keep-image"], "deprovisioned node-002\n")
+        check([*t1, "provisions"], "")
+
+    def test_help_lists_every_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        commands = ("{image,node,provision,deprovision,snapshot,recover,traffic,"
+                    "provisions,bench,serve}")
+        assert capsys.readouterr().out == f"""\
+usage: metalforge [-h] [--api API] [--tenant TENANT] [--token TOKEN] [--json]
+                  {commands}
+                  ...
+
+diskless bare-metal provisioning client
+
+positional arguments:
+  {commands}
+    image               image management
+    node                node pool
+    provision           stand a node up from an image
+    deprovision         tear a node down
+    snapshot            freeze a node's disk as an image
+    recover             re-export a failed node's disk
+    traffic             gateway counters for a node
+    provisions          list live provision records
+    bench               run a benchmark scenario
+    serve               serve a stack over HTTP
+
+options:
+  -h, --help            show this help message and exit
+  --api API             http(s) URL of a served stack, or a persistence root
+                        to open in-process
+  --tenant TENANT       tenant id for this call
+  --token TOKEN         API token
+  --json                machine-readable output
+"""
 
 
 class TestDifferential:

@@ -18,6 +18,7 @@ from metalforge.errors import (
     StorageFailure,
 )
 from metalforge.image_store import BlockFile, ImageKind, ImageStore, StoreConfig
+from metalforge.journal import Journal
 
 BS = 4096
 MIB = 1024 * 1024
@@ -431,6 +432,21 @@ class TestPersistence:
         st2 = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
         assert st2.read_range(image, 0, BS) == b"\x11" * BS
         st2.close()
+
+    def test_close_closes_only_a_journal_the_store_opened(self, tmp_path):
+        st = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+        st.create_image("t1", "img", BS)
+        st.close()
+        with pytest.raises(RuntimeError):  # closed: nothing can be appended
+            st.journal.append({"type": "image.probe"})
+
+        shared = Journal(tmp_path / "shared" / "journal.log")
+        st2 = ImageStore(tmp_path / "shared", shared, StoreConfig(block_size=BS))
+        shared.replay()
+        st2.create_image("t1", "img", BS)
+        st2.close()
+        assert shared.append({"type": "image.probe"}) == 2  # still open
+        shared.close()
 
 
 def test_integrity_clean_after_mixed_ops(store):
