@@ -10,10 +10,11 @@ Writability rule: an image accepts writes while it is a golden or clone
 with no children. Growing a child freezes the parent, which is what keeps
 clone read-through stable.
 
-Every golden image that arrives with data (an import or a deep copy) takes
-one new-layer path, ``_new_golden``: reserve an id, store the non-zero
-blocks, re-check the name, commit. Any failure before the commit discards
-the layer file, so a failed import or copy leaves no layer behind.
+Each ``ImageRecord`` owns its layer file and its resolution chain. Every
+golden image that arrives with data (an import or a deep copy) takes one
+new-layer path, ``_new_golden``: reserve an id, store the non-zero blocks,
+re-check the name, commit. Any failure before the commit discards the layer
+file, so a failed import or copy leaves no layer behind.
 """
 
 import io
@@ -23,7 +24,7 @@ import struct
 import threading
 import time
 import zlib
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -83,8 +84,12 @@ class ImageRecord:
     created_at: float
     child_count: int = 0
     shared_with: set = field(default_factory=set)
+    users: set = field(default_factory=set, compare=False)  # names of exporting targets
     # guards this image's block data; lives and dies with the record
     lock: RWLock = field(default_factory=RWLock, repr=False, compare=False)
+    layer: "BlockFile" = field(default=None, repr=False, compare=False)
+    # resolution chain: this record, then its ancestors; a flatten replaces it
+    chain: tuple = field(default=(), repr=False, compare=False)
 
     def to_public(self) -> dict:
         return {
@@ -146,22 +151,30 @@ class BlockFile:
     I/O goes through a raw descriptor: appends are single O_APPEND writes
     and reads are positionless preads, so concurrent readers never race on
     a shared file offset and nothing sits in userspace buffers.
+
+    The file is loaded on first use, and again after ``close``; a layer
+    with no file reads as empty. Writers call ``open`` (a no-op once open)
+    first, which creates a missing file.
     """
 
     def __init__(self, path: Path, block_size: int):
         self.path = path
         self.block_size = block_size
-        self._index: dict[int, int] = {}  # block index -> payload file offset
+        # block index -> payload file offset; None until loaded
+        self._index: dict[int, int] | None = None
         self._fd: int | None = None
         self._end = 0
+        self._load_lock = threading.Lock()  # concurrent readers may all load first
 
     def open(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
-        self._scan()
+        if self._fd is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+            self._scan()
 
     def _scan(self) -> None:
         record = _BLOCK_HEADER.size + self.block_size
+        offsets: dict[int, int] = {}
         offset = 0
         with open(self.path, "rb") as fh:
             while True:
@@ -172,7 +185,7 @@ class BlockFile:
                 payload = fh.read(self.block_size)
                 if len(payload) < self.block_size or zlib.crc32(payload) & 0xFFFFFFFF != crc:
                     break
-                self._index[index] = offset + _BLOCK_HEADER.size
+                offsets[index] = offset + _BLOCK_HEADER.size
                 offset += record
             fh.seek(0, io.SEEK_END)
             end = fh.tell()
@@ -180,16 +193,26 @@ class BlockFile:
             log.warning("block file %s: dropping %d torn bytes", self.path, end - offset)
             os.truncate(self._fd, offset)
         self._end = offset
+        self._index = offsets  # published last: a reader never sees half a scan
+
+    def _loaded(self) -> dict[int, int]:
+        if self._index is None:
+            with self._load_lock:
+                if self._index is None:
+                    if self.path.exists():
+                        self.open()
+                    else:
+                        self._index = {}
+        return self._index
 
     @property
     def indices(self):
-        return self._index.keys()
+        return self._loaded().keys()
 
     def read_block(self, index: int) -> bytes | None:
-        pos = self._index.get(index)
+        pos = self._loaded().get(index)
         if pos is None:
             return None
-        assert self._fd is not None
         return os.pread(self._fd, self.block_size, pos)
 
     def write_block(self, index: int, payload: bytes) -> None:
@@ -204,6 +227,7 @@ class BlockFile:
         self._end += _BLOCK_HEADER.size + self.block_size
 
     def close(self) -> None:
+        self._index = None
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
@@ -220,8 +244,12 @@ class ImageStore:
     path under ``_meta``; block I/O takes the reader/writer lock that lives
     on each ``ImageRecord``, so reads run concurrently and operations on
     distinct images in parallel. Image locks are always acquired
-    descendant-first, and never while holding ``_meta``. After taking one,
-    a caller re-checks that the id still names the same record.
+    descendant-first, and never while holding ``_meta``. Every block
+    operation pins its chain through ``_pinned``: the head image's lock,
+    then its ancestors' read locks, then a check that the head is still
+    live and ``head.chain`` is still the tuple it locked. A flatten that cut
+    the chain before the locks were all held has replaced that tuple, and
+    the pin locks the new chain instead.
     """
 
     def __init__(self, root: Path | str, journal: Journal, config: StoreConfig | None = None):
@@ -230,8 +258,6 @@ class ImageStore:
         self.journal = journal
         self._images: dict[str, ImageRecord] = {}
         self._by_name: dict[tuple[str, str], ImageRecord] = {}
-        self._layers: dict[str, BlockFile] = {}
-        self._uses: dict[str, set[str]] = {}
         self._meta = threading.RLock()
         self._stats_lock = threading.Lock()
         self._stats = CopyStats()
@@ -246,15 +272,18 @@ class ImageStore:
         journal = Journal(root / "journal.log")
         store = cls(root, journal, config)
         store._owns_journal = True
-        journal.replay()
-        store.cleanup_orphan_layers()
+        try:
+            journal.replay()
+            store.cleanup_orphan_layers()
+        except BaseException:
+            store.close()
+            raise
         return store
 
     def close(self) -> None:
         with self._meta:
-            for layer in self._layers.values():
-                layer.close()
-            self._layers.clear()
+            for rec in self._images.values():
+                rec.layer.close()
         if self._owns_journal:
             self.journal.close()
 
@@ -273,11 +302,14 @@ class ImageStore:
                 virtual_size=record["virtual_size"],
                 block_size=record["block_size"],
                 created_at=record["created_at"],
+                layer=BlockFile(self._layer_path(record["id"]), record["block_size"]),
             )
-            self._images[rec.id] = rec
-            self._by_name[(rec.tenant, rec.name)] = rec
+            rec.chain = (rec,)
             if rec.parent is not None:
                 self._images[rec.parent].child_count += 1
+                rec.chain += self._images[rec.parent].chain
+            self._images[rec.id] = rec
+            self._by_name[(rec.tenant, rec.name)] = rec
             num = _id_number(rec.id)
             if num is not None:
                 self._seq = max(self._seq, num)
@@ -286,14 +318,19 @@ class ImageStore:
             self._by_name.pop((rec.tenant, rec.name), None)
             if rec.parent is not None:
                 self._images[rec.parent].child_count -= 1
-            self._discard_layer(rec.id)
-            self._uses.pop(rec.id, None)
+            rec.layer.unlink()
+            rec.chain = ()  # drops the self-reference, so the record is freed at once
         elif op == "image.flatten":
             rec = self._images[record["id"]]
             if rec.parent is not None:
                 self._images[rec.parent].child_count -= 1
             rec.parent = None
             rec.kind = ImageKind.SNAPSHOT
+            # cut every chain through rec (its own included) just after rec
+            depth = len(rec.chain)
+            for other in self._images.values():
+                if len(other.chain) >= depth and other.chain[-depth] is rec:
+                    other.chain = other.chain[:len(other.chain) - depth + 1]
         elif op == "image.rename":
             rec = self._images[record["id"]]
             self._by_name.pop((rec.tenant, rec.name), None)
@@ -339,16 +376,13 @@ class ImageStore:
 
     def chain_of(self, image_id: str) -> list[ImageRecord]:
         """Resolution chain, the image itself first, root ancestor last."""
+        return list(self.get(image_id).chain)
+
+    def users_of(self, image_id: str) -> list[str]:
+        """Sorted names of the image's exporters; none once it is gone."""
         with self._meta:
-            chain = []
-            cursor: str | None = image_id
-            while cursor is not None:
-                rec = self._images.get(cursor)
-                if rec is None:
-                    raise NotFound(f"image {cursor} does not exist")
-                chain.append(rec)
-                cursor = rec.parent
-            return chain
+            rec = self._images.get(image_id)
+            return sorted(rec.users) if rec is not None else []
 
     def stats(self) -> CopyStats:
         with self._stats_lock:
@@ -363,17 +397,13 @@ class ImageStore:
 
     def acquire_use(self, image_id: str, holder: str) -> None:
         with self._meta:
-            if image_id not in self._images:
-                raise NotFound(f"image {image_id} does not exist")
-            self._uses.setdefault(image_id, set()).add(holder)
+            self.get(image_id).users.add(holder)
 
     def release_use(self, image_id: str, holder: str) -> None:
         with self._meta:
-            holders = self._uses.get(image_id)
-            if holders is not None:
-                holders.discard(holder)
-                if not holders:
-                    del self._uses[image_id]
+            rec = self._images.get(image_id)
+            if rec is not None:
+                rec.users.discard(holder)
 
     # -- image lifecycle --------------------------------------------------
 
@@ -417,7 +447,7 @@ class ImageStore:
         with parent.lock.write_locked():
             with self._meta:
                 self._require_live(parent)
-                depth = len(self.chain_of(parent_id)) + 1
+                depth = len(parent.chain) + 1
                 if depth > self.config.max_chain_depth:
                     raise ChainTooDeep(
                         f"chain depth {depth} exceeds limit {self.config.max_chain_depth}")
@@ -437,8 +467,8 @@ class ImageStore:
                 self._require_live(rec)
                 if rec.child_count > 0:
                     raise HasChildren(f"image {image_id} has {rec.child_count} children")
-                if self._uses.get(image_id):
-                    holders = ", ".join(sorted(self._uses[image_id]))
+                if rec.users:
+                    holders = ", ".join(sorted(rec.users))
                     raise ImageInUse(f"image {image_id} is exported by {holders}")
                 self.journal.commit({"type": "image.delete", "id": image_id})
 
@@ -469,15 +499,15 @@ class ImageStore:
     def read_range(self, image_id: str, offset: int, length: int) -> bytes:
         """Layered read: this layer's block if present, else the nearest
         ancestor's, else zeros. No side effects."""
-        chain = self.chain_of(image_id)
-        self._check_bounds(chain[0], offset, length)
-        if length == 0:
-            return b""
-        with ExitStack() as stack:
-            for rec in chain:
-                stack.enter_context(rec.lock.read_locked())
-            self._require_live(chain[0])
-            return self._read_resolved(chain, offset, length)
+        rec = self.get(image_id)
+        self._check_bounds(rec, offset, length)
+        out = bytearray(length)
+        with self._pinned(rec) as chain:
+            for index, lo, hi, pos in block_spans(offset, length, rec.block_size):
+                payload = self._resolve_block(chain, index)
+                if payload is not None:
+                    out[pos : pos + (hi - lo)] = payload[lo:hi]
+        return bytes(out)
 
     def write_range(self, image_id: str, offset: int, data: bytes) -> None:
         """Copy-on-write write: affected blocks are materialized in this
@@ -486,33 +516,23 @@ class ImageStore:
         self._check_bounds(rec, offset, len(data))
         if not data:
             return
-        with rec.lock.write_locked():
-            with self._meta:
-                self._require_live(rec)
-                if rec.kind is ImageKind.SNAPSHOT or rec.child_count > 0:
-                    raise ImmutableImage(f"image {image_id} is not writable")
-                chain = self.chain_of(image_id)
-            with ExitStack() as stack:
-                for ancestor in chain[1:]:
-                    stack.enter_context(ancestor.lock.read_locked())
-                self._write_blocks(chain, offset, data)
+        with self._pinned(rec, write=True) as chain:
+            if rec.kind is ImageKind.SNAPSHOT or rec.child_count > 0:
+                raise ImmutableImage(f"image {image_id} is not writable")
+            self._write_blocks(chain, offset, data)
 
     def flatten(self, image_id: str) -> int:
         """Materialize every ancestor-resolvable block locally, sever the
         parent link and become a snapshot. Returns blocks copied."""
         rec = self.get(image_id)
-        with rec.lock.write_locked():
-            with self._meta:
-                self._require_live(rec)
-                if rec.kind is not ImageKind.CLONE:
-                    raise NotAClone(f"image {image_id} is kind={rec.kind.value}")
-                chain = self.chain_of(image_id)
-            copied = 0
-            layer = self._layer(image_id)
-            with closing(self._resolved_blocks(chain[1:], skip=layer.indices)) as blocks:
-                for index, payload in blocks:
-                    layer.write_block(index, payload)
-                    copied += 1
+        copied = 0
+        with self._pinned(rec, write=True) as chain:
+            if rec.kind is not ImageKind.CLONE:
+                raise NotAClone(f"image {image_id} is kind={rec.kind.value}")
+            rec.layer.open()
+            for index, payload in self._resolved_blocks(chain[1:], skip=rec.layer.indices):
+                rec.layer.write_block(index, payload)
+                copied += 1
             with self._meta:
                 self.journal.commit({"type": "image.flatten", "id": image_id})
         self._bump(blocks_copied=copied, flatten_ops=1)
@@ -520,10 +540,10 @@ class ImageStore:
 
     def deep_copy(self, tenant: str, source_id: str, name: str) -> str:
         """Fully independent golden duplicate of the source's resolved view."""
-        self.check_readable(tenant, source_id)
-        chain = self.chain_of(source_id)
-        image_id, copied = self._new_golden(tenant, name, self._resolved_blocks(chain),
-                                            lambda: chain[0].virtual_size)
+        source = self.check_readable(tenant, source_id)
+        with self._pinned(source) as chain:
+            image_id, copied = self._new_golden(tenant, name, self._resolved_blocks(chain),
+                                                lambda: source.virtual_size)
         self._bump(blocks_copied=copied, deep_copy_ops=1)
         return image_id
 
@@ -545,14 +565,19 @@ class ImageStore:
                 if key in names:
                     problems.append(f"duplicate live name {key}")
                 names.add(key)
+                parent = self._images.get(rec.parent)
+                above = parent.chain if parent is not None else ()
+                if list(map(id, rec.chain)) != list(map(id, (rec,) + above)):
+                    problems.append(f"{rec.id} chain differs from its parent links")
+                if len(rec.chain) > self.config.max_chain_depth:
+                    problems.append(f"{rec.id} chain exceeds max depth")
                 if rec.parent is not None:
-                    if rec.parent not in self._images:
+                    if parent is None:
                         problems.append(f"{rec.id} has dangling parent {rec.parent}")
                         continue
                     counts[rec.parent] += 1
                     if rec.kind is not ImageKind.CLONE:
                         problems.append(f"{rec.id} has a parent but kind={rec.kind.value}")
-                    parent = self._images[rec.parent]
                     if rec.virtual_size != parent.virtual_size:
                         problems.append(f"{rec.id} size differs from parent")
                 elif rec.kind is ImageKind.CLONE:
@@ -562,12 +587,6 @@ class ImageStore:
                 if actual != expected:
                     problems.append(
                         f"{image_id} child_count={actual}, live children={expected}")
-            for rec in self._images.values():
-                try:
-                    if len(self.chain_of(rec.id)) > self.config.max_chain_depth:
-                        problems.append(f"{rec.id} chain exceeds max depth")
-                except NotFound:
-                    pass
         return problems
 
     def orphan_layer_files(self) -> list[Path]:
@@ -604,20 +623,20 @@ class ImageStore:
         }
 
     def _new_golden(self, tenant: str, name: str, blocks, size) -> tuple[str, int]:
-        """Store the non-zero payloads of the ``(index, payload)`` generator
+        """Store the non-zero payloads of the ``(index, payload)`` iterable
         ``blocks`` as a new layer and commit it as a golden image of
-        ``size()`` bytes under a re-checked name. A failure before the
-        commit closes ``blocks`` (releasing what it holds) and discards the
-        layer. Returns the new id and the number of blocks stored."""
+        ``size()`` bytes under a re-checked name; the new record takes over
+        the filled layer. A failure before the commit discards the layer.
+        Returns the new id and the number of blocks stored."""
         with self._meta:
             self._require_name_free(tenant, name)
             image_id = self._next_id()
+        layer = BlockFile(self._layer_path(image_id), self.config.block_size)
         stored = 0
         with ExitStack() as undo:
-            undo.callback(self._discard_layer, image_id)
-            undo.callback(blocks.close)
-            layer = self._layer(image_id)
+            undo.callback(layer.unlink)
             try:
+                layer.open()
                 for index, payload in blocks:
                     if payload.count(0) != len(payload):
                         layer.write_block(index, payload)
@@ -628,8 +647,11 @@ class ImageStore:
                 self._require_name_free(tenant, name)
                 record = self._create_record(
                     image_id, tenant, name, ImageKind.GOLDEN, None, size())
-                undo.pop_all()  # from here on the layer belongs to the record
+                undo.pop_all()  # from here on the file belongs to the record
+                undo.callback(layer.close)  # a commit that raises leaves no record to own it
                 self.journal.commit(record)
+                undo.pop_all()
+                self._images[image_id].layer = layer
         return image_id, stored
 
     def _require_name_free(self, tenant: str, name: str) -> None:
@@ -645,35 +667,6 @@ class ImageStore:
     def _layer_path(self, image_id: str) -> Path:
         return self.root / "blocks" / f"{image_id}.sparse"
 
-    def _discard_layer(self, image_id: str) -> None:
-        with self._meta:
-            layer = self._layers.pop(image_id, None)
-        if layer is not None:
-            layer.unlink()
-        else:
-            self._layer_path(image_id).unlink(missing_ok=True)
-
-    def _layer(self, image_id: str) -> BlockFile:
-        with self._meta:
-            layer = self._layers.get(image_id)
-            if layer is None:
-                block_size = self.config.block_size
-                rec = self._images.get(image_id)
-                if rec is not None:
-                    block_size = rec.block_size
-                layer = BlockFile(self._layer_path(image_id), block_size)
-                layer.open()
-                self._layers[image_id] = layer
-            return layer
-
-    def _layer_if_exists(self, image_id: str) -> BlockFile | None:
-        """Open handle for a layer that has data on disk; None otherwise."""
-        with self._meta:
-            layer = self._layers.get(image_id)
-            if layer is None and self._layer_path(image_id).exists():
-                layer = self._layer(image_id)
-            return layer
-
     def _require_live(self, rec: ImageRecord) -> None:
         """Raise NotFound unless the record's id still names this record."""
         with self._meta:
@@ -686,48 +679,51 @@ class ImageStore:
                 f"range [{offset}, {offset + length}) outside image of "
                 f"{rec.virtual_size} bytes")
 
-    def _resolve_block(self, chain: list[ImageRecord], index: int) -> bytes | None:
+    @contextmanager
+    def _pinned(self, rec: ImageRecord, write: bool = False):
+        """Hold ``rec``'s lock (exclusive if ``write``) and its ancestors'
+        read locks, and yield its chain; NotFound once ``rec`` is gone. If a
+        flatten cut the chain before the locks were all held, lock anew."""
+        while True:
+            chain = rec.chain
+            (rec.lock.acquire_write if write else rec.lock.acquire_read)()
+            held = [rec.lock.release_write if write else rec.lock.release_read]
+            try:
+                for ancestor in chain[1:]:
+                    ancestor.lock.acquire_read()
+                    held.append(ancestor.lock.release_read)
+                self._require_live(rec)
+                if rec.chain is chain:  # only a flatten of a held image could change it
+                    yield chain
+                    return
+            finally:
+                for release in reversed(held):
+                    release()
+
+    def _resolve_block(self, chain, index: int) -> bytes | None:
         for rec in chain:
-            layer = self._layer_if_exists(rec.id)
-            if layer is None:
-                continue
-            payload = layer.read_block(index)
+            payload = rec.layer.read_block(index)
             if payload is not None:
                 return payload
         return None
 
-    def _resolved_blocks(self, chain: list[ImageRecord], skip=()):
+    def _resolved_blocks(self, chain, skip=()):
         """Yield ``(index, payload)`` in index order for every block that a
         layer of ``chain`` holds and ``skip`` does not name, resolved
-        through the chain. The chain's read locks are held for the whole
-        walk, which fails with NotFound if ``chain[0]`` is gone."""
-        with ExitStack() as stack:
-            for rec in chain:
-                stack.enter_context(rec.lock.read_locked())
-            self._require_live(chain[0])
-            held = set()
-            for rec in chain:
-                layer = self._layer_if_exists(rec.id)
-                if layer is not None:
-                    held.update(layer.indices)
-            held.difference_update(skip)
-            for index in sorted(held):
-                yield index, self._resolve_block(chain, index)
-
-    def _read_resolved(self, chain: list[ImageRecord], offset: int, length: int) -> bytes:
-        out = bytearray(length)
-        for index, lo, hi, pos in block_spans(offset, length, chain[0].block_size):
-            payload = self._resolve_block(chain, index)
-            if payload is not None:
-                out[pos : pos + (hi - lo)] = payload[lo:hi]
-        return bytes(out)
+        through the chain. The caller holds the chain pinned."""
+        held = set()
+        for rec in chain:
+            held.update(rec.layer.indices)
+        held.difference_update(skip)
+        for index in sorted(held):
+            yield index, self._resolve_block(chain, index)
 
     def _write_blocks(self, chain: list[ImageRecord], offset: int, data: bytes) -> None:
-        rec = chain[0]
-        block_size = rec.block_size
-        layer = self._layer(rec.id)
+        block_size = chain[0].block_size
+        layer = chain[0].layer
         materialized = 0
         try:
+            layer.open()  # the layer's first write creates its file
             for index, lo, hi, pos in block_spans(offset, len(data), block_size):
                 piece = data[pos : pos + (hi - lo)]
                 local = layer.read_block(index)

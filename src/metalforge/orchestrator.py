@@ -187,8 +187,12 @@ class Orchestrator:
             config_path.write_text(json.dumps(config.persisted(), indent=2,
                                               sort_keys=True) + "\n")
         svc = cls(root, config)
-        svc.journal.replay()
-        svc.recover_incomplete()
+        try:
+            svc.journal.replay()
+            svc.recover_incomplete()
+        except BaseException:
+            svc.close()
+            raise
         return svc
 
     def close(self) -> None:
@@ -547,8 +551,7 @@ class Orchestrator:
                     and named.parent == rec.source_image):
                 clone = named.id
         if in_flight and target is None and clone is not None:
-            target = next((t.name for t in self.gateway.targets() if t.image == clone),
-                          None)
+            target = next(iter(self.images.users_of(clone)), None)
         self.pool.detach_network(rec.node)
         self.netboot.remove_boot_config(rec.node)
         if target is not None:

@@ -173,10 +173,10 @@ class TargetGateway:
             self.store.check_readable(tenant, image_id)
         with self._meta:
             if mode is TargetMode.READ_WRITE:
-                for rec in self._targets.values():
-                    if rec.image == image_id and rec.mode is TargetMode.READ_WRITE:
+                for user in self.store.users_of(image_id):
+                    if self._targets[user].mode is TargetMode.READ_WRITE:
                         raise AlreadyExported(
-                            f"image {image_id} already exported read-write as {rec.name}")
+                            f"image {image_id} already exported read-write as {user}")
             name = self._pick_name(tenant, image_id, mode)
             self.journal.commit({
                 "type": "target.create",

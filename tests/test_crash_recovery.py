@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import SMALL_BLOCKS, build_stack
+from metalforge.image_store import ImageStore
 from metalforge.journal import Journal, SimulatedCrash
 from metalforge.orchestrator import Orchestrator, ProvisionState, StackConfig
 
@@ -200,6 +201,51 @@ def test_open_rejects_record_with_unregistered_prefix(tmp_path):
     journal.close()
     with pytest.raises(ValueError, match="bogus.x"):
         reopen(root)
+
+
+def test_failed_recovery_on_open_closes_the_stack(tmp_path, monkeypatch):
+    stack = build_stack(tmp_path / "root")
+    rec = stack.provision(T1, prep_provision(stack))
+    stack.gateway.target_write(rec.node, rec.target, 0, b"dirty")
+    stack.close()
+    built = []
+
+    def failing_recovery(self):
+        built.append(self)
+        self.images.read_range(rec.clone_image, 0, 1)  # loads the clone's layer
+        raise RuntimeError("recovery failed")
+
+    monkeypatch.setattr(Orchestrator, "recover_incomplete", failing_recovery)
+    with pytest.raises(RuntimeError, match="recovery failed"):
+        reopen(tmp_path)
+    (svc,) = built
+    with pytest.raises(RuntimeError, match="not loaded"):
+        svc.journal.append({"type": "pool.probe"})
+    assert svc.images.get(rec.clone_image).layer._fd is None
+
+
+def test_failed_replay_on_open_closes_the_journal(tmp_path, monkeypatch):
+    build_stack(tmp_path / "root").close()
+    journal = Journal(tmp_path / "root" / "journal.log")
+    journal.load()
+    journal.append({"type": "bogus.x"})
+    journal.close()
+    loaded = []
+    real_replay = Journal.replay
+
+    def tracked_replay(self):
+        loaded.append(self)
+        real_replay(self)
+
+    monkeypatch.setattr(Journal, "replay", tracked_replay)
+    with pytest.raises(ValueError, match="bogus.x"):
+        reopen(tmp_path)
+    with pytest.raises(ValueError):  # a bare store registers no pool records
+        ImageStore.open(tmp_path / "root", SMALL_BLOCKS)
+    assert len(loaded) == 2
+    for opened in loaded:
+        with pytest.raises(RuntimeError, match="not loaded"):
+            opened.append({"type": "image.probe"})
 
 
 def test_crashed_commit_leaves_record_unapplied(tmp_path):

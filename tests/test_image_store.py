@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 import time
 
@@ -119,13 +120,13 @@ class TestImport:
         with pytest.raises(StorageFailure):
             store.import_image("t1", "img", _FailingStream())
         assert store.orphan_layer_files() == []
-        assert store._layers == {}
+        assert store.records() == []  # no record, so no layer is held
         assert store.find_by_name("t1", "img") is None
 
     def test_zero_blocks_not_stored(self, store, tmp_path):
         data = bytes(BS) + b"\x01" * BS + bytes(BS)
         image = store.import_image("t1", "img", data)
-        layer = store._layer(image)
+        layer = store.get(image).layer
         assert set(layer.indices) == {1}
 
     def test_clone_cost_does_not_scale_with_parent_size(self, store):
@@ -200,7 +201,7 @@ class TestWrite:
         parent = store.import_image("t1", "base", payload)
         clone = store.linked_clone("t1", parent, "c1")
         store.write_range(clone, 3 * BS + 100, b"\xff")
-        assert set(store._layer(clone).indices) == {3}
+        assert set(store.get(clone).layer.indices) == {3}
         # parent untouched, read-modify-write merged correctly
         assert store.export_image("t1", parent) == payload
         expect = bytearray(payload)
@@ -211,7 +212,7 @@ class TestWrite:
         parent = store.create_image("t1", "base", 8 * BS)
         clone = store.linked_clone("t1", parent, "c1")
         store.write_range(clone, 2 * BS - 5, b"\xaa" * 10)
-        assert set(store._layer(clone).indices) == {1, 2}
+        assert set(store.get(clone).layer.indices) == {1, 2}
 
     def test_write_beyond_end_rejected(self, store):
         image = store.create_image("t1", "img", 2 * BS)
@@ -315,6 +316,143 @@ class TestDeepCopy:
         src = store.create_image("t1", "odd", 5 * BS + 123)
         dup = store.deep_copy("t1", src, "dup")
         assert store.get(dup).virtual_size == 5 * BS + 123
+
+
+class TestChainPinning:
+    """Chain P <- X <- D. Once X is flattened, P has no child left and can
+    be written; a block operation on D that read D's chain before the
+    flatten must lock D's new chain, not the old one."""
+
+    def _chain(self, store):
+        p = store.create_image("t1", "P", 4 * BS)
+        x = store.linked_clone("t1", p, "X")
+        d = store.linked_clone("t1", x, "D")
+        return p, x, d
+
+    def _flatten_in_window(self, store, p, x):
+        """For one call, X's read lock first flattens X and writes block 2
+        of P; only an operation that already read D's chain gets there."""
+        lock = store.get(x).lock
+        real = lock.acquire_read
+
+        def late():
+            lock.acquire_read = real
+            store.flatten(x)
+            store.write_range(p, 2 * BS, b"LATE" * (BS // 4))
+            real()
+
+        lock.acquire_read = late
+
+    def test_read_sees_the_chain_after_a_flatten(self, store):
+        p, x, d = self._chain(store)
+        self._flatten_in_window(store, p, x)
+        assert store.read_range(d, 2 * BS, 8) == bytes(8)
+        assert store.get(x).kind is ImageKind.SNAPSHOT  # the window was hit
+
+    def test_write_merges_over_the_chain_after_a_flatten(self, tmp_path):
+        st = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+        p, x, d = self._chain(st)
+        self._flatten_in_window(st, p, x)
+        st.write_range(d, 2 * BS, b"ok")
+        assert st.get(x).kind is ImageKind.SNAPSHOT
+        assert st.read_range(d, 2 * BS, BS) == b"ok" + bytes(BS - 2)
+        st.close()
+        st = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+        assert st.read_range(d, 2 * BS, BS) == b"ok" + bytes(BS - 2)
+        assert st.check_integrity() == []
+        st.close()
+
+    def test_deep_copy_sees_the_chain_after_a_flatten(self, store):
+        p, x, d = self._chain(store)
+        self._flatten_in_window(store, p, x)
+        dup = store.deep_copy("t1", d, "dup")
+        assert store.get(x).kind is ImageKind.SNAPSHOT
+        assert store.export_image("t1", dup) == bytes(4 * BS)
+
+    def test_flatten_waits_for_a_read_through_the_ancestor(self, store, monkeypatch):
+        p = store.import_image("t1", "P", b"\x01" * BS)
+        x = store.linked_clone("t1", p, "X")
+        d = store.linked_clone("t1", x, "D")
+        inside, leave = threading.Event(), threading.Event()
+        real = BlockFile.read_block
+
+        def paused(self, index):
+            if self.path.stem == p and not inside.is_set():
+                inside.set()  # only the first read of P pauses: D's
+                leave.wait(5)
+            return real(self, index)
+
+        monkeypatch.setattr(BlockFile, "read_block", paused)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(store.read_range(d, 0, 4)))
+        reader.start()
+        assert inside.wait(5)
+        flattener = threading.Thread(target=store.flatten, args=(x,))
+        flattener.start()
+        flattener.join(timeout=0.2)
+        assert flattener.is_alive()  # X's read lock, held by D's read, holds it off
+        assert store.get(x).kind is ImageKind.CLONE
+        leave.set()
+        reader.join(timeout=5)
+        flattener.join(timeout=5)
+        assert not reader.is_alive() and not flattener.is_alive()
+        assert got == [b"\x01" * 4]
+        assert store.get(x).kind is ImageKind.SNAPSHOT
+        assert store.read_range(d, 0, 4) == b"\x01" * 4
+
+
+    def test_readers_racing_a_flatten_and_first_loads(self, tmp_path, monkeypatch):
+        """Readers of D on a freshly reopened store (no layer loaded yet)
+        while X is flattened and P is then rewritten: every read sees D's
+        view, and each layer file is loaded once."""
+        st = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+        p = st.import_image("t1", "P", random.Random(11).randbytes(4 * BS))
+        x = st.linked_clone("t1", p, "X")
+        st.write_range(x, BS, b"x" * BS)
+        d = st.linked_clone("t1", x, "D")
+        st.write_range(d, 3 * BS, b"d" * 7)
+        view = st.export_image("t1", d)
+        st.close()
+        st = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+        loaded = []
+        real_scan = BlockFile._scan
+
+        def counted_scan(self):
+            loaded.append(self.path.stem)
+            time.sleep(0.01)  # widens the window in which other readers arrive
+            real_scan(self)
+
+        monkeypatch.setattr(BlockFile, "_scan", counted_scan)
+        start = threading.Barrier(7)  # six readers and this thread
+        seen, errors = [], []
+
+        def reader():
+            try:
+                start.wait(timeout=10)
+                for _ in range(30):
+                    seen.append(st.read_range(d, 0, 4 * BS))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            readers = [threading.Thread(target=reader) for _ in range(6)]
+            for t in readers:
+                t.start()
+            start.wait(timeout=10)
+            st.flatten(x)
+            for i in range(20):
+                st.write_range(p, (i % 4) * BS, bytes([i]) * BS)
+            for t in readers:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in readers)
+        assert errors == []
+        assert len(seen) == 6 * 30 and all(got == view for got in seen)
+        assert sorted(loaded) == sorted({p, x, d})
+        st.close()
 
 
 class TestDelete:

@@ -199,6 +199,23 @@ class TestSnapshot:
         assert stack.images.read_range(snap, 0, 12) == b"pre-snapshot"
         assert stack.verify_invariants() == []
 
+    def test_write_after_snapshot_lands_on_the_fresh_clone(self, tmp_path):
+        stack = build_stack(tmp_path / "r")
+        rec = stack.provision(T1, seed_image(stack))
+        stack.gateway.target_write(rec.node, rec.target, BS, b"before")
+        snap = stack.snapshot(T1, rec.node, "cp")
+        stack.gateway.target_write(rec.node, rec.target, BS, b"after!")
+        stack.close()
+
+        stack = Orchestrator.open(tmp_path / "r", StackConfig(store=SMALL_BLOCKS))
+        fresh = stack.get_record(T1, rec.node).clone_image
+        assert stack.gateway.get(rec.target).image == fresh
+        assert stack.gateway.target_read(rec.node, rec.target, BS, 6) == b"after!"
+        assert stack.images.read_range(fresh, BS, 6) == b"after!"
+        assert stack.images.read_range(snap, BS, 6) == b"before"
+        assert stack.verify_invariants() == []
+        stack.close()
+
     def test_snapshot_costs_exactly_one_flatten(self, stack):
         image = seed_image(stack)
         rec = stack.provision(T1, image)
