@@ -240,11 +240,12 @@ class BlockFile:
 class ImageStore:
     """Copy-on-write image repository backed by a shared journal.
 
-    Thread safety: metadata mutations serialize through the journal commit
-    path under ``_meta``; block I/O takes the reader/writer lock that lives
-    on each ``ImageRecord``, so reads run concurrently and operations on
-    distinct images in parallel. Image locks are always acquired
-    descendant-first, and never while holding ``_meta``. Every block
+    Thread safety: metadata and the copy counters are guarded by the stack
+    lock, ``journal.lock``, held across each check and the commit that
+    depends on it; block I/O takes the reader/writer lock that lives on each
+    ``ImageRecord``, so reads run concurrently and operations on distinct
+    images in parallel. Image locks are always acquired descendant-first,
+    and never while holding the stack lock. Every block
     operation pins its chain through ``_pinned``: the head image's lock,
     then its ancestors' read locks, then a check that the head is still
     live and ``head.chain`` is still the tuple it locked. A flatten that cut
@@ -258,8 +259,6 @@ class ImageStore:
         self.journal = journal
         self._images: dict[str, ImageRecord] = {}
         self._by_name: dict[tuple[str, str], ImageRecord] = {}
-        self._meta = threading.RLock()
-        self._stats_lock = threading.Lock()
         self._stats = CopyStats()
         self._seq = 0
         self._owns_journal = False  # True for a store made by open(); close() closes it
@@ -281,9 +280,8 @@ class ImageStore:
         return store
 
     def close(self) -> None:
-        with self._meta:
-            for rec in self._images.values():
-                rec.layer.close()
+        for rec in self.records():
+            rec.layer.close()
         if self._owns_journal:
             self.journal.close()
 
@@ -344,18 +342,18 @@ class ImageStore:
     # -- lookup helpers --------------------------------------------------
 
     def get(self, image_id: str) -> ImageRecord:
-        with self._meta:
+        with self.journal.lock:
             rec = self._images.get(image_id)
             if rec is None:
                 raise NotFound(f"image {image_id} does not exist")
             return rec
 
     def exists(self, image_id: str) -> bool:
-        with self._meta:
+        with self.journal.lock:
             return image_id in self._images
 
     def records(self) -> list[ImageRecord]:
-        with self._meta:
+        with self.journal.lock:
             return sorted(self._images.values(), key=lambda r: r.id)
 
     def check_readable(self, tenant: str, image_id: str) -> ImageRecord:
@@ -371,7 +369,7 @@ class ImageStore:
         return rec
 
     def find_by_name(self, tenant: str, name: str) -> ImageRecord | None:
-        with self._meta:
+        with self.journal.lock:
             return self._by_name.get((tenant, name))
 
     def chain_of(self, image_id: str) -> list[ImageRecord]:
@@ -380,30 +378,28 @@ class ImageStore:
 
     def users_of(self, image_id: str) -> list[str]:
         """Sorted names of the image's exporters; none once it is gone."""
-        with self._meta:
+        with self.journal.lock:
             rec = self._images.get(image_id)
             return sorted(rec.users) if rec is not None else []
 
     def stats(self) -> CopyStats:
-        with self._stats_lock:
+        with self.journal.lock:
             return CopyStats(**vars(self._stats))
 
     def _bump(self, **deltas: int) -> None:
-        with self._stats_lock:
+        with self.journal.lock:
             for key, delta in deltas.items():
                 setattr(self._stats, key, getattr(self._stats, key) + delta)
 
-    # -- in-use marks (held by block targets) ----------------------------
+    # -- in-use marks (set by the gateway's apply, under the stack lock) --
 
     def acquire_use(self, image_id: str, holder: str) -> None:
-        with self._meta:
-            self.get(image_id).users.add(holder)
+        self.get(image_id).users.add(holder)
 
     def release_use(self, image_id: str, holder: str) -> None:
-        with self._meta:
-            rec = self._images.get(image_id)
-            if rec is not None:
-                rec.users.discard(holder)
+        rec = self._images.get(image_id)
+        if rec is not None:
+            rec.users.discard(holder)
 
     # -- image lifecycle --------------------------------------------------
 
@@ -411,7 +407,7 @@ class ImageStore:
         """Register an empty (all-zeros) golden image."""
         if virtual_size <= 0:
             raise InvalidSize(f"virtual_size must be positive, got {virtual_size}")
-        with self._meta:
+        with self.journal.lock:
             self._require_name_free(tenant, name)
             image_id = self._next_id()
             self.journal.commit(self._create_record(
@@ -445,7 +441,7 @@ class ImageStore:
         """Create a writable child layer; transfers zero data blocks."""
         parent = self.check_readable(tenant, parent_id)
         with parent.lock.write_locked():
-            with self._meta:
+            with self.journal.lock:
                 self._require_live(parent)
                 depth = len(parent.chain) + 1
                 if depth > self.config.max_chain_depth:
@@ -463,7 +459,7 @@ class ImageStore:
     def delete_image(self, tenant: str, image_id: str) -> None:
         rec = self.check_owned(tenant, image_id)
         with rec.lock.write_locked():
-            with self._meta:
+            with self.journal.lock:
                 self._require_live(rec)
                 if rec.child_count > 0:
                     raise HasChildren(f"image {image_id} has {rec.child_count} children")
@@ -473,7 +469,7 @@ class ImageStore:
                 self.journal.commit({"type": "image.delete", "id": image_id})
 
     def rename_image(self, tenant: str, image_id: str, new_name: str) -> None:
-        with self._meta:
+        with self.journal.lock:
             rec = self.check_owned(tenant, image_id)
             if rec.name == new_name:
                 return
@@ -482,12 +478,12 @@ class ImageStore:
 
     def share_image(self, tenant: str, image_id: str, grantee: str) -> None:
         """Grant another tenant read and clone access."""
-        with self._meta:
+        with self.journal.lock:
             self.check_owned(tenant, image_id)
             self.journal.commit({"type": "image.share", "id": image_id, "grantee": grantee})
 
     def list_images(self, tenant: str) -> list[ImageRecord]:
-        with self._meta:
+        with self.journal.lock:
             return sorted(
                 (r for r in self._images.values()
                  if r.tenant == tenant or tenant in r.shared_with),
@@ -533,7 +529,7 @@ class ImageStore:
             for index, payload in self._resolved_blocks(chain[1:], skip=rec.layer.indices):
                 rec.layer.write_block(index, payload)
                 copied += 1
-            with self._meta:
+            with self.journal.lock:
                 self.journal.commit({"type": "image.flatten", "id": image_id})
         self._bump(blocks_copied=copied, flatten_ops=1)
         return copied
@@ -557,7 +553,7 @@ class ImageStore:
     def check_integrity(self) -> list[str]:
         """Recompute derived state and report violations (empty == healthy)."""
         problems: list[str] = []
-        with self._meta:
+        with self.journal.lock:
             counts: dict[str, int] = {image_id: 0 for image_id in self._images}
             names = set()
             for rec in self._images.values():
@@ -593,7 +589,7 @@ class ImageStore:
         blocks_dir = self.root / "blocks"
         if not blocks_dir.is_dir():
             return []
-        with self._meta:
+        with self.journal.lock:
             live = set(self._images)
         return sorted(p for p in blocks_dir.glob("*.sparse") if p.stem not in live)
 
@@ -628,7 +624,7 @@ class ImageStore:
         ``size()`` bytes under a re-checked name; the new record takes over
         the filled layer. A failure before the commit discards the layer.
         Returns the new id and the number of blocks stored."""
-        with self._meta:
+        with self.journal.lock:
             self._require_name_free(tenant, name)
             image_id = self._next_id()
         layer = BlockFile(self._layer_path(image_id), self.config.block_size)
@@ -643,7 +639,7 @@ class ImageStore:
                         stored += 1
             except OSError as exc:
                 raise StorageFailure(f"storing {image_id} failed: {exc}") from exc
-            with self._meta:
+            with self.journal.lock:
                 self._require_name_free(tenant, name)
                 record = self._create_record(
                     image_id, tenant, name, ImageKind.GOLDEN, None, size())
@@ -669,7 +665,7 @@ class ImageStore:
 
     def _require_live(self, rec: ImageRecord) -> None:
         """Raise NotFound unless the record's id still names this record."""
-        with self._meta:
+        with self.journal.lock:
             if self._images.get(rec.id) is not rec:
                 raise NotFound(f"image {rec.id} does not exist")
 

@@ -6,7 +6,6 @@ Attachment checks are answered live, so a detach revokes gateway access
 immediately. Switch control is simulated behind the same API surface.
 """
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,7 +60,6 @@ class IsolationService:
         self.journal = journal
         self._nodes: dict[str, NodeRecord] = {}
         self._by_mac: dict[str, str] = {}
-        self._lock = threading.RLock()
         self._seq = 0
         journal.register("node", self.apply)
 
@@ -98,7 +96,7 @@ class IsolationService:
 
     def register_node(self, mac: str) -> str:
         mac = canonical_mac(mac)
-        with self._lock:
+        with self.journal.lock:
             if mac in self._by_mac:
                 raise DuplicateMac(f"mac {mac} is already registered")
             self._seq += 1
@@ -107,7 +105,7 @@ class IsolationService:
             return node_id
 
     def allocate_node(self, tenant: str, node_id: str | None = None) -> str:
-        with self._lock:
+        with self.journal.lock:
             if node_id is not None:
                 node = self._get(node_id)
                 if node.pool_state is not PoolState.FREE or node.health is not Health.OK:
@@ -124,14 +122,14 @@ class IsolationService:
             return node.id
 
     def release_node(self, node_id: str) -> None:
-        with self._lock:
+        with self.journal.lock:
             node = self._get(node_id)
             if node.pool_state is PoolState.FREE:
                 return
             self.journal.commit({"type": "node.release", "id": node.id})
 
     def attach_network(self, node_id: str, tenant: str) -> None:
-        with self._lock:
+        with self.journal.lock:
             node = self._get(node_id)
             if node.pool_state is not PoolState.ALLOCATED:
                 raise NotAllocated(f"node {node_id} is not allocated")
@@ -142,21 +140,21 @@ class IsolationService:
             self.journal.commit({"type": "node.attach", "id": node.id, "tenant": tenant})
 
     def detach_network(self, node_id: str) -> None:
-        with self._lock:
+        with self.journal.lock:
             node = self._nodes.get(node_id)
             if node is None or node.attached_network is None:
                 return
             self.journal.commit({"type": "node.detach", "id": node.id})
 
     def mark_failed(self, node_id: str) -> None:
-        with self._lock:
+        with self.journal.lock:
             node = self._get(node_id)
             if node.health is Health.FAILED:
                 return
             self.journal.commit({"type": "node.health", "id": node.id, "health": "failed"})
 
     def repair_node(self, node_id: str) -> None:
-        with self._lock:
+        with self.journal.lock:
             node = self._get(node_id)
             if node.health is Health.OK:
                 return
@@ -165,31 +163,31 @@ class IsolationService:
     # -- queries -----------------------------------------------------------------
 
     def get(self, node_id: str) -> NodeRecord:
-        with self._lock:
+        with self.journal.lock:
             return self._get(node_id)
 
     def exists(self, node_id: str) -> bool:
-        with self._lock:
+        with self.journal.lock:
             return node_id in self._nodes
 
     def network_of(self, node_id: str) -> str | None:
-        with self._lock:
+        with self.journal.lock:
             node = self._nodes.get(node_id)
             return None if node is None else node.attached_network
 
     def require_failed(self, node_id: str) -> NodeRecord:
-        with self._lock:
+        with self.journal.lock:
             node = self._get(node_id)
             if node.health is not Health.FAILED:
                 raise NodeNotFailed(f"node {node_id} is healthy")
             return node
 
     def nodes(self) -> list[NodeRecord]:
-        with self._lock:
+        with self.journal.lock:
             return self._sorted()
 
     def counts(self) -> dict:
-        with self._lock:
+        with self.journal.lock:
             free = sum(1 for n in self._nodes.values() if n.pool_state is PoolState.FREE)
             return {
                 "registered": len(self._nodes),

@@ -8,6 +8,16 @@ committed record the same way. Record framing: 4-byte big-endian payload
 length, the payload (canonical JSON), then a 4-byte big-endian CRC32 of the
 payload. A torn tail (short frame or CRC mismatch) is discarded on open;
 anything before it is the committed prefix.
+
+The journal's ``lock`` is the stack lock: the one lock that guards every
+service's in-memory metadata. ``commit`` holds it across the applier lookup,
+the append, the commit hook and the apply, so the journal's order is always
+the order in which state was applied, and replay rebuilds exactly the state
+that ran. A service holds the same (reentrant) lock across each check and
+the commit that depends on it, so no check can go stale before its commit.
+Data-path locks (per-node flow locks, target ``io`` locks, image
+``RWLock``s, ``BlockFile._load_lock``) are taken before the stack lock,
+never while holding it, and the stack lock is never held across block I/O.
 """
 
 import json
@@ -40,7 +50,7 @@ class Journal:
     def __init__(self, path: Path | str, sync: bool = False):
         self.path = Path(path)
         self.sync = sync
-        self._lock = threading.Lock()
+        self.lock = threading.RLock()  # the stack lock; see the module docstring
         self._fh = None
         self._commits = 0
         self._appliers: dict[str, Callable[[dict], None]] = {}
@@ -84,16 +94,16 @@ class Journal:
         if self._fh is None:
             raise RuntimeError("journal not loaded")
         frame = encode_record(record)
-        with self._lock:
+        with self.lock:
             self._fh.write(frame)
             self._fh.flush()
             if self.sync:
                 os.fsync(self._fh.fileno())
             self._commits += 1
             seq = self._commits
-        if self.commit_hook is not None:
-            self.commit_hook(seq, record)
-        return seq
+            if self.commit_hook is not None:
+                self.commit_hook(seq, record)
+            return seq
 
     def register(self, kind: str, apply: Callable[[dict], None]) -> None:
         """Route records whose type prefix is ``kind`` to ``apply``."""
@@ -102,15 +112,17 @@ class Journal:
     def commit(self, record: dict[str, Any]) -> int:
         """Append one record, then apply it; returns its sequence number.
         A raising commit hook leaves the record durable but unapplied."""
-        apply = self._applier(record)
-        seq = self.append(record)
-        apply(record)
-        return seq
+        with self.lock:
+            apply = self._applier(record)
+            seq = self.append(record)
+            apply(record)
+            return seq
 
     def replay(self) -> None:
         """Load the committed prefix and apply every record in order."""
-        for record in self.load():
-            self._applier(record)(record)
+        with self.lock:
+            for record in self.load():
+                self._applier(record)(record)
 
     def _applier(self, record: dict) -> Callable[[dict], None]:
         apply = self._appliers.get(record["type"].split(".", 1)[0])
@@ -119,7 +131,7 @@ class Journal:
         return apply
 
     def close(self) -> None:
-        with self._lock:
+        with self.lock:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None

@@ -17,7 +17,6 @@ so a node spoofing another node's MAC is handed that node's artifacts.
 
 import json
 import re
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,7 +117,6 @@ class NetbootService:
         self.settings = settings or NetbootSettings()
         self._configs: dict[str, dict] = {}  # mac -> {node, target}
         self._by_node: dict[str, str] = {}
-        self._lock = threading.RLock()
         journal.register("netboot", self.apply)
 
     # -- journal replay ------------------------------------------------------
@@ -141,9 +139,9 @@ class NetbootService:
     def install_boot_config(self, node: str, mac: str, target: str) -> BootDescriptor:
         """Write the full pointer/script/descriptor chain for one MAC."""
         mac = canonical_mac(mac)
-        if not self.gateway.exists(target):
-            raise TargetNotFound(f"target {target} is not live")
-        with self._lock:
+        with self.journal.lock:
+            if not self.gateway.exists(target):
+                raise TargetNotFound(f"target {target} is not live")
             if mac in self._configs:
                 raise ConfigExists(f"mac {mac} already has a boot configuration")
             artifacts = self._build(node, mac, target)
@@ -154,7 +152,7 @@ class NetbootService:
 
     def remove_boot_config(self, node: str) -> None:
         """Idempotent: absence of a config is success."""
-        with self._lock:
+        with self.journal.lock:
             mac = self._by_node.get(node)
             if mac is None:
                 return
@@ -164,18 +162,18 @@ class NetbootService:
     def lookup_boot(self, mac: str) -> BootArtifacts | None:
         """Staged artifacts for a MAC, or None when nothing is configured."""
         mac = canonical_mac(mac)
-        with self._lock:
+        with self.journal.lock:
             entry = self._configs.get(mac)
             if entry is None:
                 return None
             return self._build(entry["node"], mac, entry["target"])
 
     def config_for_node(self, node: str) -> str | None:
-        with self._lock:
+        with self.journal.lock:
             return self._by_node.get(node)
 
     def configured_macs(self) -> list[str]:
-        with self._lock:
+        with self.journal.lock:
             return sorted(self._configs)
 
     def artifact_paths(self, mac: str) -> list[Path]:
@@ -200,17 +198,19 @@ class NetbootService:
 
     def regenerate_files(self) -> None:
         """Recovery path: rewrite artifacts for every configured MAC and
-        drop files for MACs with no committed configuration (a crash can
-        land between the file writes and their journal commit)."""
-        with self._lock:
-            known = set()
+        drop the per-MAC artifact files of MACs with no committed
+        configuration (a crash can land between the file writes and their
+        journal commit). Any other file, such as the stage-1 loader, stays."""
+        with self.journal.lock:
             for mac, entry in self._configs.items():
                 self._write_files(mac, self._build(entry["node"], mac, entry["target"]))
-                known.update(p.name for p in self.artifact_paths(mac))
-            if self.root.is_dir():
-                for path in self.root.rglob("*"):
-                    if path.is_file() and path.name not in known:
-                        path.unlink()
+            for path in self.root.glob("*/*"):
+                try:
+                    mac = canonical_mac(path.name.removeprefix("01-").split(".")[0])
+                except ValueError:
+                    continue
+                if mac not in self._configs and path in self.artifact_paths(mac):
+                    path.unlink()
 
     # -- internals ------------------------------------------------------------------
 

@@ -164,7 +164,6 @@ class Orchestrator:
                                       self.journal, self.config.netboot)
         self._records: dict[str, ProvisionRecord] = {}
         self._idem: dict[tuple, dict] = {}
-        self._meta = threading.RLock()
         self._node_locks: dict[str, threading.RLock] = {}
         self._workers = threading.BoundedSemaphore(self.config.worker_limit)
         self._prov_seq = 0
@@ -257,7 +256,7 @@ class Orchestrator:
                 log.info("recovery: tearing down %s (state=%s)", rec.node, rec.state.value)
                 (rolled_back if rec.state in _IN_FLIGHT else completed).append(rec.node)
                 self._teardown(rec)
-        with self._meta:
+        with self.journal.lock:
             recorded = set(self._records)
         for node in self.pool.nodes():
             if node.pool_state is PoolState.ALLOCATED and node.id not in recorded:
@@ -374,7 +373,7 @@ class Orchestrator:
     # -- queries ----------------------------------------------------------------------
 
     def list_provisions(self, tenant: str) -> list[dict]:
-        with self._meta:
+        with self.journal.lock:
             return [r.to_public() for r in sorted(self._records.values(), key=lambda r: r.node)
                     if r.tenant == tenant]
 
@@ -389,7 +388,7 @@ class Orchestrator:
         return self.gateway.get_traffic(rec.target).to_public()
 
     def records(self) -> list[ProvisionRecord]:
-        with self._meta:
+        with self.journal.lock:
             return sorted(self._records.values(), key=lambda r: r.node)
 
     def authenticate(self, token: str | None) -> str | None:
@@ -409,7 +408,7 @@ class Orchestrator:
         Assumes a quiesced stack (no in-flight mutating calls).
         """
         problems: list[str] = []
-        with self._meta:
+        with self.journal.lock:
             records = {node: rec for node, rec in self._records.items()}
         counts = self.pool.counts()
         if counts["free"] + counts["allocated"] != counts["registered"]:
@@ -469,23 +468,22 @@ class Orchestrator:
 
     def _begin(self, node: str, tenant: str, source_image: str, owns_clone: bool,
                clone_image: str | None = None) -> ProvisionRecord:
-        with self._meta:
+        with self.journal.lock:  # sequence numbers commit in the order they are drawn
             self._prov_seq += 1
-            seq = self._prov_seq
-        record = {
-            "type": "prov.begin",
-            "node": node,
-            "tenant": tenant,
-            "source_image": source_image,
-            "state": ProvisionState.ALLOCATING.value,
-            "seq": seq,
-            "created_at": time.time(),
-            "owns_clone": owns_clone,
-        }
-        if clone_image is not None:
-            record["clone_image"] = clone_image
-        self.journal.commit(record)
-        return self._records[node]
+            record = {
+                "type": "prov.begin",
+                "node": node,
+                "tenant": tenant,
+                "source_image": source_image,
+                "state": ProvisionState.ALLOCATING.value,
+                "seq": self._prov_seq,
+                "created_at": time.time(),
+                "owns_clone": owns_clone,
+            }
+            if clone_image is not None:
+                record["clone_image"] = clone_image
+            self.journal.commit(record)
+            return self._records[node]
 
     def _step(self, rec: ProvisionRecord, state: ProvisionState, **extra) -> None:
         record = {"type": "prov.step", "node": rec.node, "seq": rec.seq,
@@ -577,14 +575,14 @@ class Orchestrator:
         return rec
 
     def _live_record(self, node: str) -> ProvisionRecord:
-        with self._meta:
+        with self.journal.lock:
             rec = self._records.get(node)
             if rec is None:
                 raise NotFound(f"node {node} has no live provision record")
             return rec
 
     def _node_lock(self, node: str) -> threading.RLock:
-        with self._meta:
+        with self.journal.lock:
             lock = self._node_locks.get(node)
             if lock is None:
                 lock = self._node_locks[node] = threading.RLock()
@@ -595,7 +593,7 @@ class Orchestrator:
     def _idem_lookup(self, op: str, key: str | None) -> dict | None:
         if key is None:
             return None
-        with self._meta:
+        with self.journal.lock:
             return self._idem.get((op, key))
 
     def _idem_store(self, op: str, key: str | None, ok: bool, node: str,
@@ -614,7 +612,7 @@ class Orchestrator:
             detail = prior["error"]
             raise RollbackReport(detail["failing_step"],
                                  error_by_code(detail["code"])("replayed outcome"))
-        with self._meta:
+        with self.journal.lock:
             live = self._records.get(prior["node"])
             if live is not None and live.seq == prior["result"]["seq"]:
                 return live

@@ -18,7 +18,6 @@ Wire format, all integers big-endian:
 """
 
 import struct
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -51,7 +50,6 @@ _STATUS_OF_CODE = {
     "NotFound": 5,
     "InternalError": 255,
 }
-_CODE_OF_STATUS = {v: k for k, v in _STATUS_OF_CODE.items()}
 
 _LEN = struct.Struct(">I")
 _REQ_HEAD = struct.Struct(">BH")
@@ -130,8 +128,8 @@ class TargetGateway:
         self.isolation = isolation
         self.journal = journal
         self.config = config or GatewayConfig()
+        # targets and their counters are guarded by the stack lock, journal.lock
         self._targets: dict[str, TargetRecord] = {}
-        self._meta = threading.RLock()  # also guards every target's counters
         journal.register("target", self.apply)
 
     # -- journal replay ----------------------------------------------------
@@ -167,16 +165,15 @@ class TargetGateway:
         """Export an image. One read-write target per image, and only by
         its owner; any number of read-only ones, by any tenant that can
         read it."""
-        if mode is TargetMode.READ_WRITE:
-            self.store.check_owned(tenant, image_id)
-        else:
-            self.store.check_readable(tenant, image_id)
-        with self._meta:
+        with self.journal.lock:
             if mode is TargetMode.READ_WRITE:
+                self.store.check_owned(tenant, image_id)
                 for user in self.store.users_of(image_id):
                     if self._targets[user].mode is TargetMode.READ_WRITE:
                         raise AlreadyExported(
                             f"image {image_id} already exported read-write as {user}")
+            else:
+                self.store.check_readable(tenant, image_id)
             name = self._pick_name(tenant, image_id, mode)
             self.journal.commit({
                 "type": "target.create",
@@ -190,7 +187,7 @@ class TargetGateway:
             return name
 
     def delete_target(self, tenant: str, name: str) -> None:
-        with self._meta:
+        with self.journal.lock:
             rec = self._targets.get(name)
             if rec is None:
                 raise NotFound(f"target {name} does not exist")
@@ -203,8 +200,8 @@ class TargetGateway:
         and counters. Used by snapshot, which must keep the endpoint stable
         while the node moves onto a fresh clone. The tenant must own the
         image."""
-        self.store.check_owned(tenant, image_id)
-        with self._meta:
+        with self.journal.lock:
+            self.store.check_owned(tenant, image_id)
             rec = self._targets.get(name)
             if rec is None:
                 raise NotFound(f"target {name} does not exist")
@@ -213,22 +210,22 @@ class TargetGateway:
             self.journal.commit({"type": "target.rebind", "name": name, "image": image_id})
 
     def exists(self, name: str) -> bool:
-        with self._meta:
+        with self.journal.lock:
             return name in self._targets
 
     def get(self, name: str) -> TargetRecord:
-        with self._meta:
+        with self.journal.lock:
             rec = self._targets.get(name)
             if rec is None:
                 raise NotFound(f"target {name} does not exist")
             return rec
 
     def targets(self) -> list[TargetRecord]:
-        with self._meta:
+        with self.journal.lock:
             return sorted(self._targets.values(), key=lambda r: r.name)
 
     def get_traffic(self, name: str) -> TrafficCounters:
-        with self._meta:
+        with self.journal.lock:
             return self.get(name).counters.copy()
 
     @contextmanager
@@ -251,7 +248,7 @@ class TargetGateway:
             if self._live(name) is not rec:
                 raise TargetGone(f"target {name} is gone")
             data = self.store.read_range(rec.image, offset, length)
-        with self._meta:
+        with self.journal.lock:
             rec.counters.bytes_read += length
             rec.counters.read_ops += 1
         return data
@@ -265,7 +262,7 @@ class TargetGateway:
             if self._live(name) is not rec:
                 raise TargetGone(f"target {name} is gone")
             self.store.write_range(rec.image, offset, data)
-        with self._meta:
+        with self.journal.lock:
             rec.counters.bytes_written += len(data)
             rec.counters.write_ops += 1
 
@@ -275,7 +272,7 @@ class TargetGateway:
     # -- internals -------------------------------------------------------------
 
     def _live(self, name: str) -> TargetRecord:
-        with self._meta:
+        with self.journal.lock:
             rec = self._targets.get(name)
             if rec is None:
                 raise TargetGone(f"target {name} is gone")
@@ -377,13 +374,11 @@ class GatewaySession:
 
     def read(self, name: str, offset: int, length: int) -> bytes:
         status, payload = decode_response(self.submit(encode_read_request(name, offset, length)))
-        if status != STATUS_OK:
-            raise error_by_code(_CODE_OF_STATUS.get(status, "InternalError"))(
-                f"read {name}@{offset}+{length} failed")
+        if status != STATUS_OK:  # an error's payload is its code
+            raise error_by_code(payload.decode())(f"read {name}@{offset}+{length} failed")
         return payload
 
     def write(self, name: str, offset: int, payload: bytes) -> None:
         status, detail = decode_response(self.submit(encode_write_request(name, offset, payload)))
         if status != STATUS_OK:
-            raise error_by_code(_CODE_OF_STATUS.get(status, "InternalError"))(
-                f"write {name}@{offset}+{len(payload)} failed")
+            raise error_by_code(detail.decode())(f"write {name}@{offset}+{len(payload)} failed")

@@ -192,6 +192,27 @@ def test_stray_boot_files_swept_on_recovery(tmp_path):
     revived.close()
 
 
+def test_reopen_keeps_boot_files_it_does_not_own(tmp_path):
+    # only per-MAC artifacts belong to the netboot service; the stage-1
+    # loader every pointer names, and a site default, must survive a reopen
+    root = tmp_path / "foreign"
+    stack = build_stack(root / "root")
+    rec = stack.provision(T1, prep_provision(stack))
+    loader = stack.netboot.root / "undionly.kpxe"
+    default = stack.netboot.root / "pxelinux.cfg" / "default"
+    loader.write_bytes(b"\x55\xaa loader")
+    default.write_text("DEFAULT local\n")
+    stack.close()
+
+    revived = reopen(root)
+    assert loader.read_bytes() == b"\x55\xaa loader"
+    assert default.read_text() == "DEFAULT local\n"
+    mac = revived.netboot.config_for_node(rec.node)
+    assert all(path.exists() for path in revived.netboot.artifact_paths(mac))
+    assert revived.verify_invariants() == []
+    revived.close()
+
+
 def test_open_rejects_record_with_unregistered_prefix(tmp_path):
     root = tmp_path / "bogus"
     build_stack(root / "root").close()

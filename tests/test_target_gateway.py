@@ -10,6 +10,7 @@ from metalforge.errors import (
     AccessDenied,
     AlreadyExported,
     ImageInUse,
+    ImmutableImage,
     NotFound,
     OutOfBounds,
     ReadOnlyTarget,
@@ -379,3 +380,13 @@ class TestWireFormat:
         assert status != STATUS_OK and payload == b"TargetGone"
         with pytest.raises(TargetGone):
             session.read("iqn.2025-01.org.metalforge:t1:gone", 0, 1)
+
+
+def test_session_errors_keep_their_code(rig):
+    # a code with no status byte of its own still reaches the client intact
+    stack, image, node, target = rig
+    stack.images.linked_clone(TENANT, image, "child")  # freezes the exported disk
+    with pytest.raises(ImmutableImage):
+        stack.gateway.target_write(node, target, 0, b"late")
+    with pytest.raises(ImmutableImage):
+        stack.gateway.session(node).write(target, 0, b"late")
