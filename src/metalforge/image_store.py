@@ -242,15 +242,15 @@ class ImageStore:
 
     Thread safety: metadata and the copy counters are guarded by the stack
     lock, ``journal.lock``, held across each check and the commit that
-    depends on it; block I/O takes the reader/writer lock that lives on each
+    depends on it; block data by the reader/writer lock on each
     ``ImageRecord``, so reads run concurrently and operations on distinct
-    images in parallel. Image locks are always acquired descendant-first,
-    and never while holding the stack lock. Every block
-    operation pins its chain through ``_pinned``: the head image's lock,
-    then its ancestors' read locks, then a check that the head is still
-    live and ``head.chain`` is still the tuple it locked. A flatten that cut
-    the chain before the locks were all held has replaced that tuple, and
-    the pin locks the new chain instead.
+    images in parallel. The store takes image locks only through
+    ``_pinned``, descendant-first and never while holding the stack lock:
+    the head image's lock, then its ancestors' read locks, then a check that
+    the head is live and ``head.chain`` is still the tuple it locked (a
+    flatten that cut the chain first replaced it; the pin then locks anew).
+    The gateway's fence holds a disk's write lock across a snapshot, whose
+    flatten and clone of that disk take it again.
     """
 
     def __init__(self, root: Path | str, journal: Journal, config: StoreConfig | None = None):
@@ -440,10 +440,9 @@ class ImageStore:
     def linked_clone(self, tenant: str, parent_id: str, name: str) -> str:
         """Create a writable child layer; transfers zero data blocks."""
         parent = self.check_readable(tenant, parent_id)
-        with parent.lock.write_locked():
+        with self._pinned(parent, write=True) as chain:
             with self.journal.lock:
-                self._require_live(parent)
-                depth = len(parent.chain) + 1
+                depth = len(chain) + 1
                 if depth > self.config.max_chain_depth:
                     raise ChainTooDeep(
                         f"chain depth {depth} exceeds limit {self.config.max_chain_depth}")
@@ -458,9 +457,8 @@ class ImageStore:
 
     def delete_image(self, tenant: str, image_id: str) -> None:
         rec = self.check_owned(tenant, image_id)
-        with rec.lock.write_locked():
+        with self._pinned(rec, write=True):
             with self.journal.lock:
-                self._require_live(rec)
                 if rec.child_count > 0:
                     raise HasChildren(f"image {image_id} has {rec.child_count} children")
                 if rec.users:
@@ -663,12 +661,6 @@ class ImageStore:
     def _layer_path(self, image_id: str) -> Path:
         return self.root / "blocks" / f"{image_id}.sparse"
 
-    def _require_live(self, rec: ImageRecord) -> None:
-        """Raise NotFound unless the record's id still names this record."""
-        with self.journal.lock:
-            if self._images.get(rec.id) is not rec:
-                raise NotFound(f"image {rec.id} does not exist")
-
     def _check_bounds(self, rec: ImageRecord, offset: int, length: int) -> None:
         if offset < 0 or length < 0 or offset + length > rec.virtual_size:
             raise OutOfBounds(
@@ -688,7 +680,8 @@ class ImageStore:
                 for ancestor in chain[1:]:
                     ancestor.lock.acquire_read()
                     held.append(ancestor.lock.release_read)
-                self._require_live(rec)
+                if self.get(rec.id) is not rec:  # get raises NotFound once rec is deleted
+                    raise NotFound(f"image {rec.id} does not exist")
                 if rec.chain is chain:  # only a flatten of a held image could change it
                     yield chain
                     return

@@ -15,9 +15,9 @@ the append, the commit hook and the apply, so the journal's order is always
 the order in which state was applied, and replay rebuilds exactly the state
 that ran. A service holds the same (reentrant) lock across each check and
 the commit that depends on it, so no check can go stale before its commit.
-Data-path locks (per-node flow locks, target ``io`` locks, image
-``RWLock``s, ``BlockFile._load_lock``) are taken before the stack lock,
-never while holding it, and the stack lock is never held across block I/O.
+Data-path locks (per-node flow locks, image ``RWLock``s,
+``BlockFile._load_lock``) are taken before the stack lock, never while
+holding it, and the stack lock is never held across block I/O.
 """
 
 import json

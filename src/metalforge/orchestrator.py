@@ -22,13 +22,15 @@ from pathlib import Path
 from .errors import (
     AccessDenied,
     DuplicateName,
+    HasChildren,
+    ImageInUse,
     MetalforgeError,
     NotFound,
     InvalidRequest,
     RollbackReport,
     error_by_code,
 )
-from .image_store import ImageStore, StoreConfig
+from .image_store import ImageKind, ImageStore, StoreConfig
 from .isolation import IsolationService, PoolState
 from .journal import Journal
 from .netboot_config import NetbootService, NetbootSettings
@@ -276,12 +278,18 @@ class Orchestrator:
 
         Order: allocate, clone, export, configure boot, attach network.
         Any step failure compensates in reverse and raises RollbackReport.
+        A live disk (an image a read-write target exports) is refused with
+        ImageInUse: a clone of it would freeze the disk under its node.
         """
         with self._workers:
             prior = self._idem_lookup("provision", idempotency_key)
             if prior is not None:
                 return self._replay_provision_outcome(prior)
-            self.images.check_readable(tenant, image)
+            with self.journal.lock:
+                self.images.check_readable(tenant, image)
+                for user in self.images.users_of(image):
+                    if self.gateway.get(user).mode is TargetMode.READ_WRITE:
+                        raise ImageInUse(f"image {image} is the live disk of {user}")
             node_id = self.pool.allocate_node(tenant, node)
             with self._node_lock(node_id):
                 rec = self._begin(node_id, tenant, image, owns_clone=True)
@@ -336,12 +344,15 @@ class Orchestrator:
         """Re-export a failed node's disk to a replacement node.
 
         No image data moves; the clone is simply re-exported and the new
-        node boots from it.
+        node boots from it. A node whose deprovision failed partway without
+        ``keep_image`` is refused: its disk is being deleted.
         """
         with self._workers:
             with self._node_lock(failed_node):
                 rec = self._owned_record(tenant, failed_node)
                 self.pool.require_failed(failed_node)
+                if rec.state is ProvisionState.DEPROVISIONING and not rec.keep_image:
+                    raise InvalidRequest(f"node {failed_node} is being deprovisioned")
                 if rec.state in (ProvisionState.READY, ProvisionState.BOOTED):
                     self._step(rec, ProvisionState.FAILED_NODE)
                 self._retire(rec, keep_image=True)
@@ -460,6 +471,12 @@ class Orchestrator:
         for target in targets.values():
             if not self.images.exists(target.image):
                 problems.append(f"target {target.name} bound to missing image")
+                continue
+            image = self.images.get(target.image)
+            if target.mode is TargetMode.READ_WRITE and (
+                    image.child_count or image.kind is ImageKind.SNAPSHOT):
+                problems.append(f"read-write target {target.name} bound to "
+                                f"unwritable image {image.id}")
         for path in self.images.orphan_layer_files():
             problems.append(f"orphan layer file {path.name}")
         return problems
@@ -486,6 +503,8 @@ class Orchestrator:
             return self._records[node]
 
     def _step(self, rec: ProvisionRecord, state: ProvisionState, **extra) -> None:
+        # checked before the append: replay would raise on an illegal edge forever
+        self._check_edge(rec.state.value, state.value)
         record = {"type": "prov.step", "node": rec.node, "seq": rec.seq,
                   "state": state.value}
         record.update(extra)
@@ -525,7 +544,11 @@ class Orchestrator:
         self._step(rec, ProvisionState.ATTACHING)
 
     def _retire(self, rec: ProvisionRecord, keep_image: bool) -> None:
-        self._step(rec, ProvisionState.DEPROVISIONING, keep_image=keep_image)
+        """Deprovision ``rec``. A record left deprovisioning by a teardown
+        that failed resumes that teardown with the ``keep_image`` it
+        recorded."""
+        if rec.state is not ProvisionState.DEPROVISIONING:
+            self._step(rec, ProvisionState.DEPROVISIONING, keep_image=keep_image)
         self._teardown(rec)
 
     def _teardown(self, rec: ProvisionRecord) -> None:
@@ -539,7 +562,9 @@ class Orchestrator:
         deterministic names; only an image that ``_step_clone`` could have
         made (a child of the source image) is adopted, and never the one
         that held the clone name when the flow began. A deprovisioning
-        record keeps its clone iff ``keep_image``.
+        record keeps its clone iff ``keep_image``. A clone that has children
+        (a linked clone made of it through the image store) stays too, since
+        other images read through it; the teardown still completes.
         """
         in_flight = rec.state in _IN_FLIGHT
         clone, target = rec.clone_image, rec.target
@@ -561,7 +586,7 @@ class Orchestrator:
         if not keep and clone is not None:
             try:
                 self.images.delete_image(rec.tenant, clone)
-            except NotFound:
+            except (NotFound, HasChildren):
                 pass
         self.pool.release_node(rec.node)
         if in_flight:

@@ -26,6 +26,8 @@ from enum import Enum
 from .errors import (
     AccessDenied,
     AlreadyExported,
+    ImmutableImage,
+    InvalidRequest,
     MetalforgeError,
     NotFound,
     OutOfBounds,
@@ -36,7 +38,6 @@ from .errors import (
 from .image_store import ImageStore
 from .isolation import IsolationService
 from .journal import Journal
-from .sync import RWLock
 
 OP_READ = 0
 OP_WRITE = 1
@@ -94,8 +95,6 @@ class TargetRecord:
     allowed_initiators: set
     created_at: float
     counters: TrafficCounters = field(default_factory=TrafficCounters)
-    # held shared by all I/O on this target, exclusive only by fence
-    io: RWLock = field(default_factory=RWLock, repr=False, compare=False)
 
     def to_public(self) -> dict:
         return {
@@ -232,11 +231,10 @@ class TargetGateway:
     def fence(self, name: str):
         """Hold off all I/O on one target; used around backing-image swaps.
 
-        Reads and writes hold the target's ``io`` lock shared (the store's
-        per-image lock is what serializes writes); only a fence takes it
-        exclusive.
+        The fence holds the write lock of the image the target exports; its
+        holder may take that lock again to flatten or clone the image.
         """
-        with self.get(name).io.write_locked():
+        with self.store.get(self.get(name).image).lock.write_locked():
             yield
 
     # -- data path -----------------------------------------------------------
@@ -244,10 +242,7 @@ class TargetGateway:
     def target_read(self, initiator: str, name: str, offset: int, length: int) -> bytes:
         rec = self._live(name)
         self._authorize(initiator, rec)
-        with rec.io.read_locked():
-            if self._live(name) is not rec:
-                raise TargetGone(f"target {name} is gone")
-            data = self.store.read_range(rec.image, offset, length)
+        data = self.store.read_range(rec.image, offset, length)
         with self.journal.lock:
             rec.counters.bytes_read += length
             rec.counters.read_ops += 1
@@ -258,10 +253,14 @@ class TargetGateway:
         self._authorize(initiator, rec)
         if rec.mode is not TargetMode.READ_WRITE:
             raise ReadOnlyTarget(f"target {name} is read-only")
-        with rec.io.read_locked():
-            if self._live(name) is not rec:
-                raise TargetGone(f"target {name} is gone")
-            self.store.write_range(rec.image, offset, data)
+        while True:  # the binding is read before the image lock is held
+            image = rec.image
+            try:
+                self.store.write_range(image, offset, data)
+                break
+            except ImmutableImage:  # a snapshot froze it and rebound the target
+                if rec.image == image:
+                    raise
         with self.journal.lock:
             rec.counters.bytes_written += len(data)
             rec.counters.write_ops += 1
@@ -314,21 +313,24 @@ def encode_write_request(name: str, offset: int, payload: bytes) -> bytes:
 
 
 def decode_request(frame: bytes) -> dict:
+    """Decode one request record; ValueError for any frame that is not one."""
     if len(frame) < _LEN.size:
         raise ValueError("short frame")
     (length,) = _LEN.unpack_from(frame, 0)
     body = frame[_LEN.size : _LEN.size + length]
     if len(body) != length:
         raise ValueError("truncated frame")
-    op, name_len = _REQ_HEAD.unpack_from(body, 0)
-    cursor = _REQ_HEAD.size
-    name = body[cursor : cursor + name_len].decode("utf-8")
-    cursor += name_len
-    (offset,) = _OFFSET.unpack_from(body, cursor)
-    cursor += _OFFSET.size
-    if op == OP_READ:
-        (read_len,) = _READ_LEN.unpack_from(body, cursor)
-        return {"op": op, "target": name, "offset": offset, "length": read_len}
+    try:
+        op, name_len = _REQ_HEAD.unpack_from(body, 0)
+        cursor = _REQ_HEAD.size + name_len
+        name = body[_REQ_HEAD.size : cursor].decode("utf-8")  # UnicodeDecodeError is one
+        (offset,) = _OFFSET.unpack_from(body, cursor)
+        cursor += _OFFSET.size
+        if op == OP_READ:
+            (read_len,) = _READ_LEN.unpack_from(body, cursor)
+            return {"op": op, "target": name, "offset": offset, "length": read_len}
+    except struct.error as exc:
+        raise ValueError(f"malformed frame: {exc}") from exc
     if op == OP_WRITE:
         return {"op": op, "target": name, "offset": offset, "payload": body[cursor:]}
     raise ValueError(f"unknown op {op}")
@@ -358,9 +360,13 @@ class GatewaySession:
         self.initiator = initiator
 
     def submit(self, frame: bytes) -> bytes:
-        """Serve one encoded request record and encode the response."""
+        """Serve one encoded request record and encode the response; a frame
+        that does not decode is answered as an ``InvalidRequest``."""
         try:
-            req = decode_request(frame)
+            try:
+                req = decode_request(frame)
+            except ValueError as exc:
+                raise InvalidRequest(f"undecodable request: {exc}") from exc
             if req["op"] == OP_READ:
                 data = self.gateway.target_read(
                     self.initiator, req["target"], req["offset"], req["length"])

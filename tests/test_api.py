@@ -83,6 +83,14 @@ class TestEndpoints:
         assert status == 200
         assert rec2["node"] != rec["node"]
 
+    def test_live_disk_refused_as_provision_source(self, api):
+        upload(api, "secret-1", "base", b"\x01" * BS)
+        _, rec = api.handle("PUT", "/v1/provision", {"image": "base"}, "secret-1")
+        disk = api.svc.images.get(rec["clone_image"]).name
+        status, body = api.handle("PUT", "/v1/provision", {"image": disk}, "secret-1")
+        assert status == 409 and body["code"] == "ImageInUse"
+        assert api.svc.verify_invariants() == []
+
     def test_snapshot_and_recover_endpoints(self, api):
         upload(api, "secret-1", "base", random.Random(1).randbytes(8 * BS))
         _, rec = api.handle("PUT", "/v1/provision", {"image": "base"}, "secret-1")

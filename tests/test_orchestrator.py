@@ -7,6 +7,8 @@ from conftest import SMALL_BLOCKS, build_stack
 from metalforge.errors import (
     AccessDenied,
     DuplicateName,
+    ImageInUse,
+    InvalidRequest,
     NodeNotFailed,
     NotFound,
     PoolExhausted,
@@ -66,6 +68,16 @@ class TestProvision:
         stack.images.share_image(T1, image, T2)
         rec = stack.provision(T2, image)
         assert rec.tenant == T2
+        assert stack.verify_invariants() == []
+
+
+    def test_live_disk_is_not_a_provision_source(self, stack):
+        rec = stack.provision(T1, seed_image(stack))
+        with pytest.raises(ImageInUse):
+            stack.provision(T1, rec.clone_image)
+        assert stack.pool.counts()["allocated"] == 1  # refused before allocating
+        assert stack.images.get(rec.clone_image).child_count == 0
+        stack.gateway.target_write(rec.node, rec.target, 0, b"still writable")
         assert stack.verify_invariants() == []
 
 
@@ -165,6 +177,61 @@ class TestDeprovision:
         got = stack.gateway.target_read(rec2.node, rec2.target, 5 * BS, len(marker))
         assert got == marker
         assert stack.verify_invariants() == []
+
+    def test_disk_with_children_stays_and_the_teardown_completes(self, tmp_path):
+        stack = build_stack(tmp_path / "r")
+        rec = stack.provision(T1, seed_image(stack))
+        stack.gateway.target_write(rec.node, rec.target, 0, b"disk")
+        child = stack.images.linked_clone(T1, rec.clone_image, "child")
+        stack.deprovision(T1, rec.node)
+        assert stack.records() == [] and stack.gateway.targets() == []
+        stack.close()
+        stack = Orchestrator.open(tmp_path / "r", StackConfig(store=SMALL_BLOCKS))
+        assert stack.verify_invariants() == []
+        assert stack.images.read_range(child, 0, 4) == b"disk"
+        stack.close()
+
+    def test_retried_deprovision_finishes_the_teardown(self, tmp_path):
+        stack = build_stack(tmp_path / "r")
+        rec = stack.provision(T1, seed_image(stack))
+        real = stack.gateway.delete_target
+        failed = []
+
+        def fails_once(tenant, name):
+            if not failed:
+                failed.append(name)
+                raise StorageFailure("injected")
+            return real(tenant, name)
+
+        stack.gateway.delete_target = fails_once
+        with pytest.raises(StorageFailure):
+            stack.deprovision(T1, rec.node)
+        assert stack.get_record(T1, rec.node).state is ProvisionState.DEPROVISIONING
+        stack.deprovision(T1, rec.node)
+        assert stack.records() == [] and not stack.images.exists(rec.clone_image)
+        stack.close()
+        stack = Orchestrator.open(tmp_path / "r", StackConfig(store=SMALL_BLOCKS))
+        assert stack.records() == []
+        assert stack.verify_invariants() == []
+        stack.close()
+
+    def test_recover_refuses_a_disk_being_deleted(self, stack):
+        rec = stack.provision(T1, seed_image(stack))
+        real = stack.gateway.delete_target
+
+        def fails(tenant, name):
+            raise StorageFailure("injected")
+
+        stack.gateway.delete_target = fails
+        with pytest.raises(StorageFailure):
+            stack.deprovision(T1, rec.node)
+        stack.gateway.delete_target = real
+        stack.note_node_failed(rec.node)
+        with pytest.raises(InvalidRequest):
+            stack.recover(T1, rec.node)
+        assert stack.images.exists(rec.clone_image)
+        stack.deprovision(T1, rec.node)
+        assert stack.records() == [] and stack.verify_invariants() == []
 
     def test_never_provisioned_node(self, stack):
         with pytest.raises(NotFound):
@@ -408,6 +475,13 @@ def test_boot_configuration_without_provision_record_is_reported(stack):
     problems = stack.verify_invariants()
     assert f"orphan boot configuration for {spare.mac}" in problems
     assert f"orphan boot configuration for {stack.pool.get(rec.node).mac}" not in problems
+
+
+def test_read_write_target_on_a_frozen_disk_is_reported(stack):
+    rec = stack.provision(T1, seed_image(stack))
+    stack.images.linked_clone(T1, rec.clone_image, "child")  # freezes the live disk
+    assert stack.verify_invariants() == [
+        f"read-write target {rec.target} bound to unwritable image {rec.clone_image}"]
 
 
 class TestStateMachine:

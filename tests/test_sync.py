@@ -75,3 +75,43 @@ def test_waiting_writer_blocks_new_readers():
         t.join()
     # writer preference: the queued writer beats the late reader
     assert order.index("writer") < order.index("reader2")
+
+
+def test_writer_may_take_the_write_lock_again():
+    lock = RWLock()
+    order = []
+    nested = threading.Event()
+    inner_released = threading.Event()
+    release = threading.Event()
+
+    def owner():
+        with lock.write_locked():
+            with lock.write_locked():  # a non-reentrant lock would wait on itself
+                nested.set()
+            inner_released.set()
+            release.wait(timeout=5)
+            order.append("owner-out")
+
+    def reader():
+        with lock.read_locked():
+            order.append("reader")
+
+    def writer():
+        with lock.write_locked():
+            order.append("writer")
+
+    holder = threading.Thread(target=owner, daemon=True)
+    holder.start()
+    assert nested.wait(timeout=2)  # the nested acquire returned
+    assert inner_released.wait(timeout=2)
+    probes = [threading.Thread(target=f, daemon=True) for f in (reader, writer)]
+    for probe in probes:
+        probe.start()
+    for probe in probes:
+        probe.join(timeout=0.2)
+    assert order == []  # the inner release did not let them in
+    release.set()
+    holder.join(timeout=5)
+    for probe in probes:
+        probe.join(timeout=5)
+    assert order[0] == "owner-out" and sorted(order[1:]) == ["reader", "writer"]

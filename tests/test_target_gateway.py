@@ -11,11 +11,14 @@ from metalforge.errors import (
     AlreadyExported,
     ImageInUse,
     ImmutableImage,
+    InvalidRequest,
     NotFound,
     OutOfBounds,
     ReadOnlyTarget,
     TargetGone,
+    error_by_code,
 )
+from metalforge.sync import RWLock
 from metalforge.target_gateway import (
     OP_READ,
     OP_WRITE,
@@ -319,6 +322,115 @@ class TestConcurrency:
         assert len(results) == 2
         assert stack.gateway.target_read(node, target, 0, 4) == b"late"
 
+    def test_write_waiting_behind_a_snapshot_lands_on_the_fresh_clone(self, stack):
+        # the write reads the target's binding before the fence lets it
+        # in, so it wakes on the frozen disk and must retry on the new one
+        image = stack.images.import_image(TENANT, "base", bytes(16 * BS))
+        rec = stack.provision(TENANT, image)
+        stack.gateway.target_write(rec.node, rec.target, 0, b"old!")
+        real_flatten = stack.images.flatten
+        inside, leave = threading.Event(), threading.Event()
+
+        def paused(image_id):
+            inside.set()  # the snapshot holds the fence from here on
+            leave.wait(timeout=5)
+            return real_flatten(image_id)
+
+        stack.images.flatten = paused
+        snaps, errors = [], []
+        snapper = threading.Thread(
+            target=lambda: snaps.append(stack.snapshot(TENANT, rec.node, "cp")))
+        snapper.start()
+        assert inside.wait(timeout=5)
+
+        def write():
+            try:
+                stack.gateway.target_write(rec.node, rec.target, 0, b"new!")
+            except Exception as exc:
+                errors.append(exc)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        writer.join(timeout=0.3)
+        assert writer.is_alive()  # held off by the fence
+        leave.set()
+        snapper.join(timeout=5)
+        writer.join(timeout=5)
+        assert not snapper.is_alive() and not writer.is_alive()
+        assert errors == []
+        fresh = stack.get_record(TENANT, rec.node).clone_image
+        assert stack.images.read_range(fresh, 0, 4) == b"new!"
+        assert stack.images.read_range(snaps[0], 0, 4) == b"old!"
+        assert stack.verify_invariants() == []
+
+    def test_writers_racing_snapshots_lose_nothing(self, stack):
+        # writers keep writing until every snapshot is done, so some of them
+        # queue behind a fence and must retry on the fresh clone
+        image = stack.images.import_image(TENANT, "base", bytes(16 * BS))
+        rec = stack.provision(TENANT, image)
+        workers, span = 4, 16
+        errors, last = [], {}
+        done = threading.Event()
+
+        def hammer(i):
+            try:
+                k = 0
+                while not done.is_set() or k < 10:
+                    k += 1
+                    last[i] = bytes([k % 251 + 1]) * span
+                    stack.gateway.target_write(rec.node, rec.target, i * BS, last[i])
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        def snapshots():
+            try:
+                for n in range(5):
+                    stack.snapshot(TENANT, rec.node, f"cp{n}")
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+            finally:
+                done.set()
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,)) for i in range(workers)]
+            threads.append(threading.Thread(target=snapshots))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            done.set()
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for i in range(workers):
+            assert stack.gateway.target_read(rec.node, rec.target, i * BS, span) == last[i]
+        assert stack.verify_invariants() == []
+
+    def test_guest_io_lock_count_on_a_depth_4_chain(self, stack, monkeypatch):
+        golden = stack.images.import_image(TENANT, "base", bytes(4 * BS))
+        layer = stack.images.linked_clone(TENANT, golden, "l1")
+        layer = stack.images.linked_clone(TENANT, layer, "l2")
+        rec = stack.provision(TENANT, layer)
+        assert len(stack.images.chain_of(rec.clone_image)) == 4
+        counts = {"read": 0, "write": 0}
+        real_read, real_write = RWLock.acquire_read, RWLock.acquire_write
+
+        def counted(kind, real):
+            def acquire(lock):
+                counts[kind] += 1
+                real(lock)
+            return acquire
+
+        monkeypatch.setattr(RWLock, "acquire_read", counted("read", real_read))
+        monkeypatch.setattr(RWLock, "acquire_write", counted("write", real_write))
+        stack.gateway.target_read(rec.node, rec.target, 0, BS)
+        assert counts == {"read": 4, "write": 0}  # the disk and its 3 ancestors
+        stack.gateway.target_write(rec.node, rec.target, 0, b"x")
+        assert counts == {"read": 7, "write": 1}
+
 
 class TestWireFormat:
     def test_read_request_golden_bytes(self):
@@ -369,6 +481,19 @@ class TestWireFormat:
     def test_write_request_roundtrip(self, offset, payload):
         req = decode_request(encode_write_request("iqn.x:t:i", offset, payload))
         assert req["offset"] == offset and req["payload"] == payload
+
+    @pytest.mark.parametrize("frame", [
+        b"\x00\x00\x00\x01\x00",                  # no name length
+        b"\x00\x00\x00\x04\x07\x00\x00\x00",      # no offset
+        encode_read_request("?", 0, 1).replace(b"?", b"\xff"),  # name not UTF-8
+    ])
+    def test_session_answers_an_undecodable_frame(self, rig, frame):
+        stack, image, node, target = rig
+        with pytest.raises(ValueError):
+            decode_request(frame)
+        status, payload = decode_response(stack.gateway.session(node).submit(frame))
+        assert status != STATUS_OK and payload == b"InvalidRequest"
+        assert error_by_code(payload.decode()) is InvalidRequest
 
     def test_session_round_trip_and_errors(self, rig):
         stack, image, node, target = rig
