@@ -67,10 +67,6 @@ class AlreadyExported(MetalforgeError):
     code = "AlreadyExported"
 
 
-class ReadOnlyTarget(MetalforgeError):
-    code = "ReadOnlyTarget"
-
-
 class TargetGone(MetalforgeError):
     code = "TargetGone"
 

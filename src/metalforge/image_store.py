@@ -84,7 +84,8 @@ class ImageRecord:
     created_at: float
     child_count: int = 0
     shared_with: set = field(default_factory=set)
-    users: set = field(default_factory=set, compare=False)  # names of exporting targets
+    # name of the one target that exports this image; the gateway's apply sets it
+    exporter: str | None = field(default=None, compare=False)
     # guards this image's block data; lives and dies with the record
     lock: RWLock = field(default_factory=RWLock, repr=False, compare=False)
     layer: "BlockFile" = field(default=None, repr=False, compare=False)
@@ -261,29 +262,12 @@ class ImageStore:
         self._by_name: dict[tuple[str, str], ImageRecord] = {}
         self._stats = CopyStats()
         self._seq = 0
-        self._owns_journal = False  # True for a store made by open(); close() closes it
         journal.register("image", self.apply)
 
-    @classmethod
-    def open(cls, root: Path | str, config: StoreConfig | None = None) -> "ImageStore":
-        """Stand-alone store over its own journal at ``<root>/journal.log``."""
-        root = Path(root)
-        journal = Journal(root / "journal.log")
-        store = cls(root, journal, config)
-        store._owns_journal = True
-        try:
-            journal.replay()
-            store.cleanup_orphan_layers()
-        except BaseException:
-            store.close()
-            raise
-        return store
-
     def close(self) -> None:
+        """Close every layer file; the journal belongs to the caller."""
         for rec in self.records():
             rec.layer.close()
-        if self._owns_journal:
-            self.journal.close()
 
     # -- journal replay -------------------------------------------------
 
@@ -372,16 +356,6 @@ class ImageStore:
         with self.journal.lock:
             return self._by_name.get((tenant, name))
 
-    def chain_of(self, image_id: str) -> list[ImageRecord]:
-        """Resolution chain, the image itself first, root ancestor last."""
-        return list(self.get(image_id).chain)
-
-    def users_of(self, image_id: str) -> list[str]:
-        """Sorted names of the image's exporters; none once it is gone."""
-        with self.journal.lock:
-            rec = self._images.get(image_id)
-            return sorted(rec.users) if rec is not None else []
-
     def stats(self) -> CopyStats:
         with self.journal.lock:
             return CopyStats(**vars(self._stats))
@@ -390,16 +364,6 @@ class ImageStore:
         with self.journal.lock:
             for key, delta in deltas.items():
                 setattr(self._stats, key, getattr(self._stats, key) + delta)
-
-    # -- in-use marks (set by the gateway's apply, under the stack lock) --
-
-    def acquire_use(self, image_id: str, holder: str) -> None:
-        self.get(image_id).users.add(holder)
-
-    def release_use(self, image_id: str, holder: str) -> None:
-        rec = self._images.get(image_id)
-        if rec is not None:
-            rec.users.discard(holder)
 
     # -- image lifecycle --------------------------------------------------
 
@@ -438,10 +402,14 @@ class ImageStore:
         return image_id
 
     def linked_clone(self, tenant: str, parent_id: str, name: str) -> str:
-        """Create a writable child layer; transfers zero data blocks."""
+        """Create a writable child layer; transfers zero data blocks. A live
+        disk (an exported image that is not a snapshot) is refused with
+        ImageInUse: a child would freeze it under its node."""
         parent = self.check_readable(tenant, parent_id)
         with self._pinned(parent, write=True) as chain:
             with self.journal.lock:
+                if parent.exporter is not None and parent.kind is not ImageKind.SNAPSHOT:
+                    raise ImageInUse(f"image {parent_id} is the live disk of {parent.exporter}")
                 depth = len(chain) + 1
                 if depth > self.config.max_chain_depth:
                     raise ChainTooDeep(
@@ -461,9 +429,8 @@ class ImageStore:
             with self.journal.lock:
                 if rec.child_count > 0:
                     raise HasChildren(f"image {image_id} has {rec.child_count} children")
-                if rec.users:
-                    holders = ", ".join(sorted(rec.users))
-                    raise ImageInUse(f"image {image_id} is exported by {holders}")
+                if rec.exporter is not None:
+                    raise ImageInUse(f"image {image_id} is exported by {rec.exporter}")
                 self.journal.commit({"type": "image.delete", "id": image_id})
 
     def rename_image(self, tenant: str, image_id: str, new_name: str) -> None:

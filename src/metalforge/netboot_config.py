@@ -184,18 +184,6 @@ class NetbootService:
             self.root / "ibft" / f"{mac}.json",
         ]
 
-    def scan_artifacts(self, mac: str) -> list[Path]:
-        """Filesystem truth for cleanup checks: every on-disk artifact
-        belonging to this MAC."""
-        mac = canonical_mac(mac)
-        needles = {mac, mac_with_dashes(mac)}
-        found = []
-        if self.root.is_dir():
-            for path in sorted(self.root.rglob("*")):
-                if path.is_file() and any(n in path.name for n in needles):
-                    found.append(path)
-        return found
-
     def regenerate_files(self) -> None:
         """Recovery path: rewrite artifacts for every configured MAC and
         drop the per-MAC artifact files of MACs with no committed

@@ -34,7 +34,7 @@ from .image_store import ImageKind, ImageStore, StoreConfig
 from .isolation import IsolationService, PoolState
 from .journal import Journal
 from .netboot_config import NetbootService, NetbootSettings
-from .target_gateway import GatewayConfig, TargetGateway, TargetMode
+from .target_gateway import GatewayConfig, TargetGateway
 
 log = logging.getLogger(__name__)
 
@@ -278,18 +278,16 @@ class Orchestrator:
 
         Order: allocate, clone, export, configure boot, attach network.
         Any step failure compensates in reverse and raises RollbackReport.
-        A live disk (an image a read-write target exports) is refused with
-        ImageInUse: a clone of it would freeze the disk under its node.
+        A live disk (an image a target exports) is refused with ImageInUse
+        before a node is allocated: a clone of it would freeze the disk.
         """
         with self._workers:
             prior = self._idem_lookup("provision", idempotency_key)
             if prior is not None:
                 return self._replay_provision_outcome(prior)
-            with self.journal.lock:
-                self.images.check_readable(tenant, image)
-                for user in self.images.users_of(image):
-                    if self.gateway.get(user).mode is TargetMode.READ_WRITE:
-                        raise ImageInUse(f"image {image} is the live disk of {user}")
+            exporter = self.images.check_readable(tenant, image).exporter
+            if exporter is not None:
+                raise ImageInUse(f"image {image} is the live disk of {exporter}")
             node_id = self.pool.allocate_node(tenant, node)
             with self._node_lock(node_id):
                 rec = self._begin(node_id, tenant, image, owns_clone=True)
@@ -473,8 +471,7 @@ class Orchestrator:
                 problems.append(f"target {target.name} bound to missing image")
                 continue
             image = self.images.get(target.image)
-            if target.mode is TargetMode.READ_WRITE and (
-                    image.child_count or image.kind is ImageKind.SNAPSHOT):
+            if image.child_count or image.kind is ImageKind.SNAPSHOT:
                 problems.append(f"read-write target {target.name} bound to "
                                 f"unwritable image {image.id}")
         for path in self.images.orphan_layer_files():
@@ -530,8 +527,7 @@ class Orchestrator:
         self._step(rec, ProvisionState.CLONING, clone_image=clone)
 
     def _step_export(self, rec: ProvisionRecord) -> None:
-        target = self.gateway.create_target(rec.tenant, rec.clone_image,
-                                            TargetMode.READ_WRITE, {rec.node})
+        target = self.gateway.create_target(rec.tenant, rec.clone_image, {rec.node})
         self._step(rec, ProvisionState.EXPORTING, target=target)
 
     def _step_configure(self, rec: ProvisionRecord) -> None:
@@ -563,8 +559,9 @@ class Orchestrator:
         made (a child of the source image) is adopted, and never the one
         that held the clone name when the flow began. A deprovisioning
         record keeps its clone iff ``keep_image``. A clone that has children
-        (a linked clone made of it through the image store) stays too, since
-        other images read through it; the teardown still completes.
+        (linked clones made of it through the image store while no target
+        exported it) stays too, since they read through it; the teardown
+        still completes.
         """
         in_flight = rec.state in _IN_FLIGHT
         clone, target = rec.clone_image, rec.target
@@ -574,7 +571,10 @@ class Orchestrator:
                     and named.parent == rec.source_image):
                 clone = named.id
         if in_flight and target is None and clone is not None:
-            target = next(iter(self.images.users_of(clone)), None)
+            try:
+                target = self.images.get(clone).exporter
+            except NotFound:
+                pass
         self.pool.detach_network(rec.node)
         self.netboot.remove_boot_config(rec.node)
         if target is not None:

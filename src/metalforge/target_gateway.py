@@ -5,6 +5,10 @@ of its own: per-tenant/initiator authorization, single-writer enforcement,
 and cumulative traffic accounting. Counters record granted request payload
 lengths exactly; denied requests change nothing.
 
+Every target is a read-write export of one writable image to the initiators
+it names, so an image has at most one target; the image record names it in
+``exporter``, which ``apply`` keeps in step with the target table.
+
 Transport is an in-process loopback carrying the binary wire format below,
 so the simulator's "network" boundary is bit-exact without real block
 protocol framing.
@@ -21,7 +25,6 @@ import struct
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .errors import (
     AccessDenied,
@@ -30,12 +33,10 @@ from .errors import (
     InvalidRequest,
     MetalforgeError,
     NotFound,
-    OutOfBounds,
-    ReadOnlyTarget,
     TargetGone,
     error_by_code,
 )
-from .image_store import ImageStore
+from .image_store import ImageKind, ImageStore
 from .isolation import IsolationService
 from .journal import Journal
 
@@ -47,7 +48,7 @@ _STATUS_OF_CODE = {
     "TargetGone": 1,
     "AccessDenied": 2,
     "OutOfBounds": 3,
-    "ReadOnlyTarget": 4,
+    # 4 stays reserved: it was the status of a write to a read-only target
     "NotFound": 5,
     "InternalError": 255,
 }
@@ -65,11 +66,6 @@ class GatewayConfig:
     authority: str = "org.metalforge"
     naming_date: str = "2025-01"
     address: str = "192.0.2.10"
-
-
-class TargetMode(Enum):
-    READ_WRITE = "read_write"
-    READ_ONLY = "read_only"
 
 
 @dataclass
@@ -91,7 +87,6 @@ class TargetRecord:
     name: str
     image: str
     tenant: str
-    mode: TargetMode
     allowed_initiators: set
     created_at: float
     counters: TrafficCounters = field(default_factory=TrafficCounters)
@@ -101,21 +96,9 @@ class TargetRecord:
             "name": self.name,
             "image": self.image,
             "tenant": self.tenant,
-            "mode": self.mode.value,
             "allowed_initiators": sorted(self.allowed_initiators),
             "counters": self.counters.to_public(),
         }
-
-
-def parse_target_name(name: str) -> tuple[str, str]:
-    """Split an exported target name back into (tenant, image id)."""
-    head, _, tail = name.partition(":")
-    if not head.startswith("iqn.") or not tail:
-        raise ValueError(f"malformed target name {name!r}")
-    parts = tail.split(":")
-    if len(parts) < 2:
-        raise ValueError(f"malformed target name {name!r}")
-    return parts[0], parts[1]
 
 
 class TargetGateway:
@@ -136,50 +119,45 @@ class TargetGateway:
     def apply(self, record: dict) -> None:
         op = record["type"]
         if op == "target.create":
+            if record["mode"] != "read_write":
+                raise ValueError("read-only targets are not supported")
             rec = TargetRecord(
                 name=record["name"],
                 image=record["image"],
                 tenant=record["tenant"],
-                mode=TargetMode(record["mode"]),
                 allowed_initiators=set(record["allowed_initiators"]),
                 created_at=record["created_at"],
             )
             self._targets[rec.name] = rec
-            self.store.acquire_use(rec.image, rec.name)
+            self.store.get(rec.image).exporter = rec.name
         elif op == "target.delete":
             rec = self._targets.pop(record["name"])
-            self.store.release_use(rec.image, rec.name)
+            self.store.get(rec.image).exporter = None
         elif op == "target.rebind":
             rec = self._targets[record["name"]]
-            self.store.release_use(rec.image, rec.name)
+            self.store.get(rec.image).exporter = None
             rec.image = record["image"]
-            self.store.acquire_use(rec.image, rec.name)
+            self.store.get(rec.image).exporter = rec.name
         else:
             raise ValueError(f"unknown target record type {op}")
 
     # -- target lifecycle ----------------------------------------------------
 
-    def create_target(self, tenant: str, image_id: str, mode: TargetMode = TargetMode.READ_WRITE,
-                      allowed_initiators=()) -> str:
-        """Export an image. One read-write target per image, and only by
-        its owner; any number of read-only ones, by any tenant that can
-        read it."""
+    def create_target(self, tenant: str, image_id: str, allowed_initiators=()) -> str:
+        """Export an image read-write to ``allowed_initiators``; see
+        ``_check_exportable`` for which images may be exported."""
         with self.journal.lock:
-            if mode is TargetMode.READ_WRITE:
-                self.store.check_owned(tenant, image_id)
-                for user in self.store.users_of(image_id):
-                    if self._targets[user].mode is TargetMode.READ_WRITE:
-                        raise AlreadyExported(
-                            f"image {image_id} already exported read-write as {user}")
-            else:
-                self.store.check_readable(tenant, image_id)
-            name = self._pick_name(tenant, image_id, mode)
+            self._check_exportable(tenant, image_id)
+            # a snapshot's rebound target keeps the name of the disk it froze
+            name = f"iqn.{self.config.naming_date}.{self.config.authority}:{tenant}:{image_id}"
+            if name in self._targets:
+                raise AlreadyExported(f"target name {name} is live")
             self.journal.commit({
                 "type": "target.create",
                 "name": name,
                 "image": image_id,
                 "tenant": tenant,
-                "mode": mode.value,
+                "mode": "read_write",
                 "allowed_initiators": sorted(allowed_initiators),
                 "created_at": time.time(),
             })
@@ -197,10 +175,10 @@ class TargetGateway:
     def rebind_target(self, tenant: str, name: str, image_id: str) -> None:
         """Swap the backing image under a live target, preserving its name
         and counters. Used by snapshot, which must keep the endpoint stable
-        while the node moves onto a fresh clone. The tenant must own the
-        image."""
+        while the node moves onto a fresh clone. The image must be
+        exportable (``_check_exportable``)."""
         with self.journal.lock:
-            self.store.check_owned(tenant, image_id)
+            self._check_exportable(tenant, image_id)
             rec = self._targets.get(name)
             if rec is None:
                 raise NotFound(f"target {name} does not exist")
@@ -251,8 +229,6 @@ class TargetGateway:
     def target_write(self, initiator: str, name: str, offset: int, data: bytes) -> None:
         rec = self._live(name)
         self._authorize(initiator, rec)
-        if rec.mode is not TargetMode.READ_WRITE:
-            raise ReadOnlyTarget(f"target {name} is read-only")
         while True:  # the binding is read before the image lock is held
             image = rec.image
             try:
@@ -277,24 +253,21 @@ class TargetGateway:
                 raise TargetGone(f"target {name} is gone")
             return rec
 
+    def _check_exportable(self, tenant: str, image_id: str) -> None:
+        """Only an image's owner may export it, only while it is writable
+        (no children, not a snapshot), and an image has at most one target."""
+        image = self.store.check_owned(tenant, image_id)
+        if image.exporter is not None:
+            raise AlreadyExported(f"image {image_id} already exported as {image.exporter}")
+        if image.child_count or image.kind is ImageKind.SNAPSHOT:
+            raise ImmutableImage(f"image {image_id} is not writable")
+
     def _authorize(self, initiator: str, rec: TargetRecord) -> None:
         if initiator not in rec.allowed_initiators:
             raise AccessDenied(f"initiator {initiator} is not allowed on {rec.name}")
         if self.isolation.network_of(initiator) != rec.tenant:
             raise AccessDenied(
                 f"initiator {initiator} is not attached to {rec.tenant}'s network")
-
-    def _pick_name(self, tenant: str, image_id: str, mode: TargetMode) -> str:
-        base = f"iqn.{self.config.naming_date}.{self.config.authority}:{tenant}:{image_id}"
-        if mode is TargetMode.READ_WRITE:
-            name = base
-            if name in self._targets:
-                raise AlreadyExported(f"target name {name} is live")
-            return name
-        serial = 1
-        while f"{base}:ro{serial}" in self._targets:
-            serial += 1
-        return f"{base}:ro{serial}"
 
 
 # -- wire codec -----------------------------------------------------------

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SMALL_BLOCKS, build_stack
+from conftest import SMALL_BLOCKS, build_stack, open_store
 from metalforge.bench import BenchSpec, run_bench, synthetic_image
 from metalforge.errors import AccessDenied, MetalforgeError, StorageFailure
-from metalforge.image_store import ImageStore, StoreConfig
+from metalforge.image_store import StoreConfig
 from metalforge.journal import SimulatedCrash
 from metalforge.netboot_config import mac_with_dashes
 from metalforge.node_simulator import (
@@ -44,7 +44,7 @@ def test_criterion_01_cow_oracle_equivalence(tmp_path):
     seeds = 100
     started = time.perf_counter()
     for seed in range(seeds):
-        store = ImageStore.open(tmp_path / f"s{seed}", StoreConfig(block_size=BS))
+        store = open_store(tmp_path / f"s{seed}", StoreConfig(block_size=BS))
         driver = DifferentialDriver(store, random.Random(seed),
                                     max_size=4 * MIB, max_live=10)
         driver.run(1000)

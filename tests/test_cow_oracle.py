@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from conftest import open_store
 from metalforge.image_store import ImageKind, ImageStore, StoreConfig
 from oracle import OracleStore
 
@@ -95,7 +96,7 @@ class DifferentialDriver:
         parent = self._pick()
         if parent is None or len(self.live) >= self.max_live:
             return
-        if len(self.store.chain_of(parent)) + 1 > self.store.config.max_chain_depth:
+        if len(self.store.get(parent).chain) + 1 > self.store.config.max_chain_depth:
             return
         clone = self.store.linked_clone(TENANT, parent, self._name())
         self.oracle.clone(clone, parent)
@@ -150,17 +151,17 @@ class DifferentialDriver:
 
 @pytest.mark.parametrize("seed", range(8))
 def test_randomized_ops_match_oracle(tmp_path, seed):
-    store = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+    store = open_store(tmp_path / "st", StoreConfig(block_size=BS))
     driver = DifferentialDriver(store, random.Random(seed))
     driver.run(400)
     store.close()
 
 
 def test_oracle_agreement_survives_reopen(tmp_path):
-    store = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+    store = open_store(tmp_path / "st", StoreConfig(block_size=BS))
     driver = DifferentialDriver(store, random.Random(99))
     driver.run(200)
     store.close()
-    driver.store = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+    driver.store = open_store(tmp_path / "st", StoreConfig(block_size=BS))
     driver.run(200)
     driver.store.close()

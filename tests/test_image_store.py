@@ -18,6 +18,7 @@ from metalforge.errors import (
     OutOfBounds,
     StorageFailure,
 )
+from conftest import open_store
 from metalforge.image_store import BlockFile, ImageKind, ImageStore, StoreConfig
 from metalforge.journal import Journal
 
@@ -186,7 +187,7 @@ class TestLinkedClone:
             store.linked_clone("t1", "img-999999", "c1")
 
     def test_chain_depth_limit(self, tmp_path):
-        st = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS, max_chain_depth=3))
+        st = open_store(tmp_path / "st", StoreConfig(block_size=BS, max_chain_depth=3))
         image = st.create_image("t1", "base", BS)
         image = st.linked_clone("t1", image, "c1")
         image = st.linked_clone("t1", image, "c2")
@@ -350,14 +351,14 @@ class TestChainPinning:
         assert store.get(x).kind is ImageKind.SNAPSHOT  # the window was hit
 
     def test_write_merges_over_the_chain_after_a_flatten(self, tmp_path):
-        st = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+        st = open_store(tmp_path / "st", StoreConfig(block_size=BS))
         p, x, d = self._chain(st)
         self._flatten_in_window(st, p, x)
         st.write_range(d, 2 * BS, b"ok")
         assert st.get(x).kind is ImageKind.SNAPSHOT
         assert st.read_range(d, 2 * BS, BS) == b"ok" + bytes(BS - 2)
         st.close()
-        st = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+        st = open_store(tmp_path / "st", StoreConfig(block_size=BS))
         assert st.read_range(d, 2 * BS, BS) == b"ok" + bytes(BS - 2)
         assert st.check_integrity() == []
         st.close()
@@ -405,7 +406,7 @@ class TestChainPinning:
         """Readers of D on a freshly reopened store (no layer loaded yet)
         while X is flattened and P is then rewritten: every read sees D's
         view, and each layer file is loaded once."""
-        st = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+        st = open_store(tmp_path / "st", StoreConfig(block_size=BS))
         p = st.import_image("t1", "P", random.Random(11).randbytes(4 * BS))
         x = st.linked_clone("t1", p, "X")
         st.write_range(x, BS, b"x" * BS)
@@ -413,7 +414,7 @@ class TestChainPinning:
         st.write_range(d, 3 * BS, b"d" * 7)
         view = st.export_image("t1", d)
         st.close()
-        st = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+        st = open_store(tmp_path / "st", StoreConfig(block_size=BS))
         loaded = []
         real_scan = BlockFile._scan
 
@@ -474,10 +475,10 @@ class TestDelete:
 
     def test_delete_exported_image_rejected(self, store):
         image = store.create_image("t1", "img", BS)
-        store.acquire_use(image, "some-target")
+        store.get(image).exporter = "some-target"  # as the gateway's apply sets it
         with pytest.raises(ImageInUse):
             store.delete_image("t1", image)
-        store.release_use(image, "some-target")
+        store.get(image).exporter = None
         store.delete_image("t1", image)
 
     def test_image_ids_never_reused(self, store):
@@ -528,7 +529,7 @@ class TestListRenameShareExport:
 class TestPersistence:
     def test_reopen_preserves_everything(self, tmp_path):
         rng = random.Random(9)
-        st = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+        st = open_store(tmp_path / "st", StoreConfig(block_size=BS))
         payload = rng.randbytes(16 * BS)
         base = st.import_image("t1", "base", payload)
         clone = st.linked_clone("t1", base, "c1")
@@ -538,7 +539,7 @@ class TestPersistence:
         view = st.export_image("t1", clone)
         st.close()
 
-        st2 = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+        st2 = open_store(tmp_path / "st", StoreConfig(block_size=BS))
         assert st2.export_image("t1", clone) == view
         assert st2.export_image("t2", base) == payload
         assert st2.get(base).child_count == 1
@@ -546,19 +547,19 @@ class TestPersistence:
         st2.close()
 
     def test_orphan_layer_cleanup(self, tmp_path):
-        st = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+        st = open_store(tmp_path / "st", StoreConfig(block_size=BS))
         image = st.create_image("t1", "img", BS)
         stray = st.root / "blocks" / "img-009999.sparse"
         stray.parent.mkdir(parents=True, exist_ok=True)
         stray.write_bytes(b"garbage")
         st.close()
-        st2 = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+        st2 = open_store(tmp_path / "st", StoreConfig(block_size=BS))
         assert not stray.exists()
         assert st2.exists(image)
         st2.close()
 
     def test_torn_block_record_keeps_previous_version(self, tmp_path):
-        st = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+        st = open_store(tmp_path / "st", StoreConfig(block_size=BS))
         image = st.create_image("t1", "img", 4 * BS)
         st.write_range(image, 0, b"\x11" * BS)
         st.write_range(image, 0, b"\x22" * BS)
@@ -567,12 +568,12 @@ class TestPersistence:
         # tear the middle of the last (rewrite) record
         data = layer_path.read_bytes()
         layer_path.write_bytes(data[: len(data) - BS // 2])
-        st2 = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+        st2 = open_store(tmp_path / "st", StoreConfig(block_size=BS))
         assert st2.read_range(image, 0, BS) == b"\x11" * BS
         st2.close()
 
     def test_close_closes_only_a_journal_the_store_opened(self, tmp_path):
-        st = ImageStore.open(tmp_path / "st", StoreConfig(block_size=BS))
+        st = open_store(tmp_path / "st", StoreConfig(block_size=BS))
         st.create_image("t1", "img", BS)
         st.close()
         with pytest.raises(RuntimeError):  # closed: nothing can be appended

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scan_artifacts
 from metalforge.errors import ConfigExists, TargetNotFound
 from metalforge.netboot_config import canonical_mac, mac_with_dashes
-from metalforge.target_gateway import TargetMode
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXED_INPUTS = [
@@ -43,7 +43,7 @@ class TestMacAddress:
 def rig(stack):
     image = stack.images.import_image("t1", "base", random.Random(0).randbytes(4096))
     node = stack.pool.allocate_node("t1")
-    target = stack.gateway.create_target("t1", image, TargetMode.READ_WRITE, {node})
+    target = stack.gateway.create_target("t1", image, {node})
     mac = stack.pool.get(node).mac
     return stack, node, mac, target
 
@@ -90,7 +90,7 @@ class TestRemove:
         stack.netboot.install_boot_config(node, mac, target)
         stack.netboot.remove_boot_config(node)
         assert stack.netboot.lookup_boot(mac) is None
-        assert stack.netboot.scan_artifacts(mac) == []
+        assert scan_artifacts(stack.netboot, mac) == []
 
     def test_remove_is_idempotent(self, rig):
         stack, node, mac, target = rig
@@ -106,12 +106,11 @@ class TestRemove:
         other_image = stack.images.import_image("t1", "other", b"\x01" * 4096)
         other_node = stack.pool.allocate_node("t1")
         other_mac = stack.pool.get(other_node).mac
-        other_target = stack.gateway.create_target("t1", other_image,
-                                                   TargetMode.READ_WRITE, {other_node})
+        other_target = stack.gateway.create_target("t1", other_image, {other_node})
         stack.netboot.install_boot_config(other_node, other_mac, other_target)
         stack.netboot.remove_boot_config(node)
         assert stack.netboot.lookup_boot(other_mac) is not None
-        assert stack.netboot.scan_artifacts(other_mac) != []
+        assert scan_artifacts(stack.netboot, other_mac) != []
 
 
 class TestLookup:

@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from conftest import SMALL_BLOCKS, build_stack
+from conftest import SMALL_BLOCKS, build_stack, scan_artifacts
 from metalforge.errors import (
     AccessDenied,
     DuplicateName,
@@ -16,7 +16,7 @@ from metalforge.errors import (
     StorageFailure,
 )
 from metalforge.image_store import ImageKind
-from metalforge.journal import Journal
+from metalforge.journal import Journal, SimulatedCrash
 from metalforge.orchestrator import STATE_EDGES, Orchestrator, ProvisionState, StackConfig
 
 BS = 4096
@@ -76,6 +76,15 @@ class TestProvision:
         with pytest.raises(ImageInUse):
             stack.provision(T1, rec.clone_image)
         assert stack.pool.counts()["allocated"] == 1  # refused before allocating
+        assert stack.images.get(rec.clone_image).child_count == 0
+        stack.gateway.target_write(rec.node, rec.target, 0, b"still writable")
+        assert stack.verify_invariants() == []
+
+    def test_live_disk_is_not_a_clone_parent(self, stack):
+        rec = stack.provision(T1, seed_image(stack))
+        with pytest.raises(ImageInUse):
+            stack.images.linked_clone(T1, rec.clone_image, "child")
+        assert stack.images.find_by_name(T1, "child") is None
         assert stack.images.get(rec.clone_image).child_count == 0
         stack.gateway.target_write(rec.node, rec.target, 0, b"still writable")
         assert stack.verify_invariants() == []
@@ -159,7 +168,7 @@ class TestDeprovision:
         stack.deprovision(T1, rec.node)
         assert stack.records() == []
         assert stack.gateway.targets() == []
-        assert stack.netboot.scan_artifacts(mac) == []
+        assert scan_artifacts(stack.netboot, mac) == []
         assert not stack.images.exists(rec.clone_image)
         assert stack.pool.counts()["allocated"] == 0
         assert stack.verify_invariants() == []
@@ -180,10 +189,20 @@ class TestDeprovision:
 
     def test_disk_with_children_stays_and_the_teardown_completes(self, tmp_path):
         stack = build_stack(tmp_path / "r")
-        rec = stack.provision(T1, seed_image(stack))
-        stack.gateway.target_write(rec.node, rec.target, 0, b"disk")
-        child = stack.images.linked_clone(T1, rec.clone_image, "child")
-        stack.deprovision(T1, rec.node)
+        image = seed_image(stack)
+        made = {}
+
+        def hook(step, node):
+            if step == "export":  # the clone exists but is not exported yet
+                disk = stack.get_record(T1, node).clone_image
+                stack.images.write_range(disk, 0, b"disk")
+                made["child"] = stack.images.linked_clone(T1, disk, "child")
+
+        stack.fault_hook = hook
+        with pytest.raises(RollbackReport):
+            stack.provision(T1, image)
+        stack.fault_hook = None
+        child = made["child"]
         assert stack.records() == [] and stack.gateway.targets() == []
         stack.close()
         stack = Orchestrator.open(tmp_path / "r", StackConfig(store=SMALL_BLOCKS))
@@ -477,11 +496,22 @@ def test_boot_configuration_without_provision_record_is_reported(stack):
     assert f"orphan boot configuration for {stack.pool.get(rec.node).mac}" not in problems
 
 
-def test_read_write_target_on_a_frozen_disk_is_reported(stack):
+def test_read_write_target_on_a_frozen_disk_is_reported(tmp_path):
+    stack = build_stack(tmp_path / "r")
     rec = stack.provision(T1, seed_image(stack))
-    stack.images.linked_clone(T1, rec.clone_image, "child")  # freezes the live disk
+
+    def crash_after_flatten(seq, record):
+        if record["type"] == "image.flatten":
+            raise SimulatedCrash("after image.flatten")
+
+    stack.journal.commit_hook = crash_after_flatten
+    with pytest.raises(SimulatedCrash):
+        stack.snapshot(T1, rec.node, "snap")  # freezes the live disk, then dies
+    stack.close()
+    stack = Orchestrator.open(tmp_path / "r", StackConfig(store=SMALL_BLOCKS))
     assert stack.verify_invariants() == [
         f"read-write target {rec.target} bound to unwritable image {rec.clone_image}"]
+    stack.close()
 
 
 class TestStateMachine:

@@ -13,7 +13,6 @@ import metalforge
 from conftest import SMALL_BLOCKS, build_stack
 from metalforge.errors import ImageInUse, MetalforgeError
 from metalforge.orchestrator import Orchestrator, StackConfig
-from metalforge.target_gateway import TargetMode
 
 BS = 4096
 T1 = "t1"
@@ -78,7 +77,7 @@ def test_create_target_and_delete_image_cannot_both_win(tmp_path):
     stack = build_stack(tmp_path / "root")
     image = stack.images.import_image(T1, "disk", b"x" * BS)
     outcomes = race_with_delete(stack, image, lambda: stack.gateway.create_target(
-        T1, image, TargetMode.READ_WRITE, {"n1"}))
+        T1, image, {"n1"}))
     stack.close()
     assert_one_winner_and_a_clean_reopen(tmp_path / "root", outcomes)
     assert isinstance(outcomes[1], ImageInUse)
@@ -88,7 +87,7 @@ def test_rebind_target_and_delete_image_cannot_both_win(tmp_path):
     stack = build_stack(tmp_path / "root")
     old = stack.images.import_image(T1, "old", b"o" * BS)
     new = stack.images.import_image(T1, "new", b"n" * BS)
-    target = stack.gateway.create_target(T1, old, TargetMode.READ_WRITE, {"n1"})
+    target = stack.gateway.create_target(T1, old, {"n1"})
     outcomes = race_with_delete(stack, new, lambda: stack.gateway.rebind_target(
         T1, target, new))
     stack.close()
@@ -101,6 +100,7 @@ def public_state(stack) -> dict:
         "records": [r.to_public() for r in stack.records()],
         "targets": [t.to_public() for t in stack.gateway.targets()],
         "images": [r.to_public() for r in stack.images.records()],
+        "exporters": [r.exporter for r in stack.images.records()],
         "nodes": [n.to_public() for n in stack.pool.nodes()],
         "macs": stack.netboot.configured_macs(),
     }

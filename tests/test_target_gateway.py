@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_stack
 from metalforge.errors import (
     AccessDenied,
     AlreadyExported,
@@ -14,22 +15,22 @@ from metalforge.errors import (
     InvalidRequest,
     NotFound,
     OutOfBounds,
-    ReadOnlyTarget,
+    StorageFailure,
     TargetGone,
     error_by_code,
 )
+from metalforge.image_store import ImageStore
+from metalforge.orchestrator import Orchestrator
 from metalforge.sync import RWLock
 from metalforge.target_gateway import (
     OP_READ,
     OP_WRITE,
     STATUS_OK,
-    TargetMode,
     decode_request,
     decode_response,
     encode_read_request,
     encode_response,
     encode_write_request,
-    parse_target_name,
 )
 
 BS = 4096
@@ -42,7 +43,7 @@ def rig(stack):
     image = stack.images.import_image(TENANT, "base", random.Random(0).randbytes(16 * BS))
     node = stack.pool.allocate_node(TENANT)
     stack.pool.attach_network(node, TENANT)
-    target = stack.gateway.create_target(TENANT, image, TargetMode.READ_WRITE, {node})
+    target = stack.gateway.create_target(TENANT, image, {node})
     return stack, image, node, target
 
 
@@ -57,19 +58,31 @@ class TestLifecycle:
     def test_single_writer_per_image(self, rig):
         stack, image, node, target = rig
         with pytest.raises(AlreadyExported):
-            stack.gateway.create_target(TENANT, image, TargetMode.READ_WRITE, {node})
+            stack.gateway.create_target(TENANT, image, {node})
+        assert stack.images.get(image).exporter == target
 
-    def test_multiple_read_only_targets(self, rig):
+    def test_unwritable_image_is_not_exported(self, rig):
         stack, image, node, target = rig
-        ro1 = stack.gateway.create_target(TENANT, image, TargetMode.READ_ONLY, {node})
-        ro2 = stack.gateway.create_target(TENANT, image, TargetMode.READ_ONLY, {node})
-        assert ro1 != ro2 != target
-        assert stack.gateway.target_read(node, ro1, 0, 8) == \
-            stack.gateway.target_read(node, ro2, 0, 8)
+        golden = stack.images.import_image(TENANT, "golden", b"G" * BS)
+        stack.images.linked_clone(TENANT, golden, "child")  # freezes the golden
+        with pytest.raises(ImmutableImage):
+            stack.gateway.create_target(TENANT, golden, {node})
+        rec = stack.provision(TENANT, golden)
+        snap = stack.snapshot(TENANT, rec.node, "snap")
+        with pytest.raises(ImmutableImage):
+            stack.gateway.create_target(TENANT, snap, {node})
+        assert stack.images.get(golden).exporter is None
+        assert stack.images.get(snap).exporter is None
 
-    def test_name_parses_back_to_tenant_and_image(self, rig):
-        stack, image, node, target = rig
-        assert parse_target_name(target) == (TENANT, image)
+    def test_a_root_with_a_read_only_target_is_refused(self, tmp_path):
+        stack = build_stack(tmp_path / "root")
+        image = stack.images.import_image(TENANT, "base", b"R" * BS)
+        stack.journal.append({"type": "target.create", "name": f"iqn.x:{TENANT}:{image}:ro1",
+                              "image": image, "tenant": TENANT, "mode": "read_only",
+                              "allowed_initiators": [], "created_at": 0.0})
+        stack.close()
+        with pytest.raises(ValueError, match="read-only targets are not supported"):
+            Orchestrator.open(tmp_path / "root")
 
     def test_io_after_delete_is_target_gone(self, rig):
         stack, image, node, target = rig
@@ -127,18 +140,9 @@ class TestDataPath:
     def test_read_of_unwritten_region_counts(self, rig):
         stack, image, node, target = rig
         zeros_target = stack.gateway.create_target(
-            TENANT, stack.images.create_image(TENANT, "empty", 4 * BS),
-            TargetMode.READ_WRITE, {node})
+            TENANT, stack.images.create_image(TENANT, "empty", 4 * BS), {node})
         assert stack.gateway.target_read(node, zeros_target, 0, BS) == bytes(BS)
         assert stack.gateway.get_traffic(zeros_target).bytes_read == BS
-
-    def test_write_to_read_only_target(self, rig):
-        stack, image, node, target = rig
-        stack.gateway.delete_target(TENANT, target)
-        ro = stack.gateway.create_target(TENANT, image, TargetMode.READ_ONLY, {node})
-        with pytest.raises(ReadOnlyTarget):
-            stack.gateway.target_write(node, ro, 0, b"\x00")
-        assert stack.gateway.get_traffic(ro).write_ops == 0
 
     def test_out_of_bounds_read(self, rig):
         stack, image, node, target = rig
@@ -183,11 +187,7 @@ class TestExportOwnership:
         node = stack.pool.allocate_node("t2")
         stack.pool.attach_network(node, "t2")
         with pytest.raises(AccessDenied):
-            stack.gateway.create_target("t2", golden, TargetMode.READ_WRITE, {node})
-        # read access is still enough for a read-only export
-        ro = stack.gateway.create_target("t2", golden, TargetMode.READ_ONLY, {node})
-        assert stack.gateway.target_read(node, ro, 0, 8) == b"A" * 8
-        assert stack.images.read_range(golden, 0, 8) == b"A" * 8
+            stack.gateway.create_target("t2", golden, {node})
 
     def test_rebind_needs_ownership(self, rig):
         stack, image, node, target = rig
@@ -211,6 +211,18 @@ class TestRebind:
         with pytest.raises(ImageInUse):
             stack.images.delete_image(TENANT, other)
 
+    def test_rebind_onto_an_exported_image_is_refused(self, rig):
+        stack, image, node, target = rig
+        other = stack.images.import_image(TENANT, "other", b"\x02" * BS)
+        other_target = stack.gateway.create_target(TENANT, other, {node})
+        with pytest.raises(AlreadyExported):
+            stack.gateway.rebind_target(TENANT, target, other)
+        assert stack.gateway.get(target).image == image
+        assert stack.images.get(other).exporter == other_target
+        stack.gateway.delete_target(TENANT, other_target)
+        with pytest.raises(ImageInUse):  # still held by its own target
+            stack.images.delete_image(TENANT, image)
+
     def test_rebind_preserves_counters(self, rig):
         stack, image, node, target = rig
         stack.gateway.target_read(node, target, 0, 64)
@@ -229,7 +241,7 @@ class TestConcurrency:
             img = stack.images.import_image(TENANT, f"img{i}", bytes([i + 1]) * 8 * BS)
             n = stack.pool.allocate_node(TENANT)
             stack.pool.attach_network(n, TENANT)
-            targets.append(stack.gateway.create_target(TENANT, img, TargetMode.READ_WRITE, {n}))
+            targets.append(stack.gateway.create_target(TENANT, img, {n}))
             nodes.append(n)
         errors = []
 
@@ -414,7 +426,7 @@ class TestConcurrency:
         layer = stack.images.linked_clone(TENANT, golden, "l1")
         layer = stack.images.linked_clone(TENANT, layer, "l2")
         rec = stack.provision(TENANT, layer)
-        assert len(stack.images.chain_of(rec.clone_image)) == 4
+        assert len(stack.images.get(rec.clone_image).chain) == 4
         counts = {"read": 0, "write": 0}
         real_read, real_write = RWLock.acquire_read, RWLock.acquire_write
 
@@ -507,11 +519,15 @@ class TestWireFormat:
             session.read("iqn.2025-01.org.metalforge:t1:gone", 0, 1)
 
 
-def test_session_errors_keep_their_code(rig):
+def test_session_errors_keep_their_code(rig, monkeypatch):
     # a code with no status byte of its own still reaches the client intact
     stack, image, node, target = rig
-    stack.images.linked_clone(TENANT, image, "child")  # freezes the exported disk
-    with pytest.raises(ImmutableImage):
+
+    def fails(self, image_id, offset, data):
+        raise StorageFailure("injected")
+
+    monkeypatch.setattr(ImageStore, "write_range", fails)
+    with pytest.raises(StorageFailure):
         stack.gateway.target_write(node, target, 0, b"late")
-    with pytest.raises(ImmutableImage):
+    with pytest.raises(StorageFailure):
         stack.gateway.session(node).write(target, 0, b"late")
