@@ -92,6 +92,11 @@ class ImageRecord:
     # resolution chain: this record, then its ancestors; a flatten replaces it
     chain: tuple = field(default=(), repr=False, compare=False)
 
+    @property
+    def writable(self) -> bool:
+        """Guest writes may land here: not a snapshot, and no clone reads through it."""
+        return self.kind is not ImageKind.SNAPSHOT and self.child_count == 0
+
     def to_public(self) -> dict:
         return {
             "id": self.id,
@@ -478,7 +483,7 @@ class ImageStore:
         if not data:
             return
         with self._pinned(rec, write=True) as chain:
-            if rec.kind is ImageKind.SNAPSHOT or rec.child_count > 0:
+            if not rec.writable:
                 raise ImmutableImage(f"image {image_id} is not writable")
             self._write_blocks(chain, offset, data)
 

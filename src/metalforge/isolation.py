@@ -58,7 +58,7 @@ class IsolationService:
 
     def __init__(self, journal: Journal):
         self.journal = journal
-        self._nodes: dict[str, NodeRecord] = {}
+        self._nodes: dict[str, NodeRecord] = {}  # in registration order
         self._by_mac: dict[str, str] = {}
         self._seq = 0
         journal.register("node", self.apply)
@@ -112,7 +112,7 @@ class IsolationService:
                     raise NodeBusy(f"node {node_id} is not allocatable")
             else:
                 node = next(
-                    (n for n in self._sorted()
+                    (n for n in self._nodes.values()
                      if n.pool_state is PoolState.FREE and n.health is Health.OK),
                     None,
                 )
@@ -183,8 +183,9 @@ class IsolationService:
             return node
 
     def nodes(self) -> list[NodeRecord]:
+        """Every node, in registration order."""
         with self.journal.lock:
-            return self._sorted()
+            return list(self._nodes.values())
 
     def counts(self) -> dict:
         with self.journal.lock:
@@ -200,6 +201,3 @@ class IsolationService:
         if node is None:
             raise NotFound(f"node {node_id} is not registered")
         return node
-
-    def _sorted(self) -> list[NodeRecord]:
-        return sorted(self._nodes.values(), key=lambda n: n.id)

@@ -1,18 +1,21 @@
-"""Per-node network boot artifacts.
+"""Per-node network boot files.
 
-For each configured MAC the service owns three files, mirroring the
-pxelinux convention for stage 1 and keeping the later stages alongside:
+For each configured MAC the service writes three text files, mirroring
+the pxelinux convention for stage 1 and keeping the later stages
+alongside:
 
   <root>/pxelinux.cfg/01-<mac-with-dashes>   stage-1 pointer (chainload)
   <root>/ipxe/<mac>.ipxe                     stage-2 boot script
   <root>/ibft/<mac>.json                     boot descriptor (JSON)
 
-Artifacts are deterministic functions of (mac, target, addressing config),
-so they can be regenerated from the journal after a crash and golden-file
-tested byte for byte.
+``_render`` is the one place their text is produced: a deterministic
+function of (node, mac, target, addressing config), so the files can be
+regenerated from the journal after a crash and golden-file tested byte
+for byte. A node that asks for its boot configuration is served the
+descriptor, the same one the JSON file holds.
 
 Known limitation, intentionally preserved: lookup is keyed by MAC alone,
-so a node spoofing another node's MAC is handed that node's artifacts.
+so a node spoofing another node's MAC is handed that node's descriptor.
 """
 
 import json
@@ -48,39 +51,6 @@ class NetbootSettings:
 
 
 @dataclass(frozen=True)
-class BootPointer:
-    """DHCP-style answer: where the firmware fetches its stage-1 loader."""
-
-    mac: str
-    next_server: str
-    filename: str
-
-    def render(self) -> str:
-        return (
-            "DEFAULT chain\n"
-            "LABEL chain\n"
-            f"KERNEL {self.filename}\n"
-            f"APPEND script=ipxe/{self.mac}.ipxe next-server={self.next_server}\n"
-        )
-
-
-@dataclass(frozen=True)
-class BootScript:
-    """Stage-2 script whose final directive attaches the block target."""
-
-    mac: str
-    lines: tuple
-
-    @property
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-    @property
-    def target(self) -> str:
-        return self.lines[-1].split("::::", 1)[-1]
-
-
-@dataclass(frozen=True)
 class BootDescriptor:
     """Boot-firmware-table analog naming the block endpoint to mount."""
 
@@ -99,15 +69,8 @@ class BootDescriptor:
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@dataclass(frozen=True)
-class BootArtifacts:
-    pointer: BootPointer
-    script: BootScript
-    descriptor: BootDescriptor
-
-
 class NetbootService:
-    """Generates, persists and serves the per-MAC boot chain."""
+    """Renders, writes and serves the per-MAC boot files."""
 
     def __init__(self, root: Path | str, gateway, journal: Journal,
                  settings: NetbootSettings | None = None):
@@ -137,18 +100,17 @@ class NetbootService:
     # -- operations -------------------------------------------------------------
 
     def install_boot_config(self, node: str, mac: str, target: str) -> BootDescriptor:
-        """Write the full pointer/script/descriptor chain for one MAC."""
+        """Write the pointer, script and descriptor files for one MAC."""
         mac = canonical_mac(mac)
         with self.journal.lock:
             if not self.gateway.exists(target):
                 raise TargetNotFound(f"target {target} is not live")
             if mac in self._configs:
                 raise ConfigExists(f"mac {mac} already has a boot configuration")
-            artifacts = self._build(node, mac, target)
-            self._write_files(mac, artifacts)
+            self._write_files(node, mac, target)
             self.journal.commit({"type": "netboot.install", "node": node, "mac": mac,
                                  "target": target})
-            return artifacts.descriptor
+            return self._descriptor(node, target)
 
     def remove_boot_config(self, node: str) -> None:
         """Idempotent: absence of a config is success."""
@@ -159,14 +121,14 @@ class NetbootService:
             self._remove_files(mac)
             self.journal.commit({"type": "netboot.remove", "mac": mac})
 
-    def lookup_boot(self, mac: str) -> BootArtifacts | None:
-        """Staged artifacts for a MAC, or None when nothing is configured."""
+    def lookup_boot(self, mac: str) -> BootDescriptor | None:
+        """The descriptor served to a MAC, or None when nothing is configured."""
         mac = canonical_mac(mac)
         with self.journal.lock:
             entry = self._configs.get(mac)
             if entry is None:
                 return None
-            return self._build(entry["node"], mac, entry["target"])
+            return self._descriptor(entry["node"], entry["target"])
 
     def config_for_node(self, node: str) -> str | None:
         with self.journal.lock:
@@ -185,13 +147,13 @@ class NetbootService:
         ]
 
     def regenerate_files(self) -> None:
-        """Recovery path: rewrite artifacts for every configured MAC and
-        drop the per-MAC artifact files of MACs with no committed
+        """Recovery path: rewrite the files of every configured MAC and
+        drop the per-MAC boot files of MACs with no committed
         configuration (a crash can land between the file writes and their
         journal commit). Any other file, such as the stage-1 loader, stays."""
         with self.journal.lock:
             for mac, entry in self._configs.items():
-                self._write_files(mac, self._build(entry["node"], mac, entry["target"]))
+                self._write_files(entry["node"], mac, entry["target"])
             for path in self.root.glob("*/*"):
                 try:
                     mac = canonical_mac(path.name.removeprefix("01-").split(".")[0])
@@ -202,31 +164,27 @@ class NetbootService:
 
     # -- internals ------------------------------------------------------------------
 
-    def _initiator_name(self, node: str) -> str:
+    def _descriptor(self, node: str, target: str) -> BootDescriptor:
         cfg = self.gateway.config
-        return f"iqn.{cfg.naming_date}.{cfg.authority}:node:{node}"
+        return BootDescriptor(target=target, gateway_addr=cfg.address,
+                              initiator_name=f"iqn.{cfg.naming_date}.{cfg.authority}:node:{node}",
+                              lun=self.settings.lun)
 
-    def _build(self, node: str, mac: str, target: str) -> BootArtifacts:
-        pointer = BootPointer(mac=mac, next_server=self.settings.next_server,
-                              filename=self.settings.stage1_filename)
-        initiator = self._initiator_name(node)
-        gateway_addr = self.gateway.config.address
-        script = BootScript(mac=mac, lines=(
-            "#!ipxe",
-            f"set initiator-iqn {initiator}",
-            f"sanboot iscsi:{gateway_addr}::::{target}",
-        ))
-        descriptor = BootDescriptor(target=target, gateway_addr=gateway_addr,
-                                    initiator_name=initiator, lun=self.settings.lun)
-        return BootArtifacts(pointer=pointer, script=script, descriptor=descriptor)
+    def _render(self, node: str, mac: str, target: str) -> tuple[str, str, str]:
+        """Pointer, script and descriptor texts, in ``artifact_paths`` order.
+        The script's last line attaches the target the descriptor names."""
+        descriptor = self._descriptor(node, target)
+        pointer = ("DEFAULT chain\n"
+                   "LABEL chain\n"
+                   f"KERNEL {self.settings.stage1_filename}\n"
+                   f"APPEND script=ipxe/{mac}.ipxe next-server={self.settings.next_server}\n")
+        script = ("#!ipxe\n"
+                  f"set initiator-iqn {descriptor.initiator_name}\n"
+                  f"sanboot iscsi:{descriptor.gateway_addr}::::{target}\n")
+        return pointer, script, descriptor.to_json()
 
-    def _write_files(self, mac: str, artifacts: BootArtifacts) -> None:
-        pointer_path, script_path, descriptor_path = self.artifact_paths(mac)
-        for path, text in (
-            (pointer_path, artifacts.pointer.render()),
-            (script_path, artifacts.script.text),
-            (descriptor_path, artifacts.descriptor.to_json()),
-        ):
+    def _write_files(self, node: str, mac: str, target: str) -> None:
+        for path, text in zip(self.artifact_paths(mac), self._render(node, mac, target)):
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
 

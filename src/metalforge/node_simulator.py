@@ -1,8 +1,10 @@
 """Simulated bare-metal nodes.
 
-A simulated node executes the full boot protocol against the netboot and
-gateway services: firmware wait, stage-1 pointer, stage-2 script, target
-attach, then on-demand block reads driven by an access pattern. Reads pass
+A simulated node runs the boot protocol against the netboot and gateway
+services: firmware wait, fetch of the boot descriptor its MAC is served,
+attach to the target that descriptor names, then on-demand block reads
+driven by an access pattern. The pointer and script files are not parsed;
+the delay profile charges their fetch as one config fetch. Reads pass
 through an LRU page-cache model so only first touches generate gateway
 traffic. All durations are virtual (from a DelayProfile); nothing sleeps,
 and a report is a pure function of (config, pattern, seed).
@@ -265,13 +267,10 @@ class SimNode:
         self.booted = False
         self.halted = False
         phases: list[tuple[str, float]] = [("firmware", self.config.firmware_delay_ms)]
-        artifacts = self.svc.netboot.lookup_boot(self.config.mac)
-        if artifacts is None:
+        descriptor = self.svc.netboot.lookup_boot(self.config.mac)
+        if descriptor is None:
             raise NoBootConfig(f"no boot configuration for mac {self.config.mac}")
         phases.append(("config_fetch", self.profile.config_fetch_ms))
-        descriptor = artifacts.descriptor
-        if artifacts.script.target != descriptor.target:
-            raise NoBootConfig(f"inconsistent boot chain for mac {self.config.mac}")
         try:
             target_rec = self.svc.gateway.get(descriptor.target)
             self._capacity = self.svc.images.get(target_rec.image).virtual_size

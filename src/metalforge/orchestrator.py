@@ -30,7 +30,7 @@ from .errors import (
     RollbackReport,
     error_by_code,
 )
-from .image_store import ImageKind, ImageStore, StoreConfig
+from .image_store import ImageStore, StoreConfig
 from .isolation import IsolationService, PoolState
 from .journal import Journal
 from .netboot_config import NetbootService, NetbootSettings
@@ -447,8 +447,8 @@ class Orchestrator:
             if mac is None:
                 problems.append(f"{node}: boot configuration missing")
             else:
-                artifacts = self.netboot.lookup_boot(mac)
-                if artifacts is None or artifacts.descriptor.target != rec.target:
+                descriptor = self.netboot.lookup_boot(mac)
+                if descriptor is None or descriptor.target != rec.target:
                     problems.append(f"{node}: boot artifacts inconsistent")
         for name in targets:
             if name not in claimed_targets:
@@ -470,10 +470,9 @@ class Orchestrator:
             if not self.images.exists(target.image):
                 problems.append(f"target {target.name} bound to missing image")
                 continue
-            image = self.images.get(target.image)
-            if image.child_count or image.kind is ImageKind.SNAPSHOT:
+            if not self.images.get(target.image).writable:
                 problems.append(f"read-write target {target.name} bound to "
-                                f"unwritable image {image.id}")
+                                f"unwritable image {target.image}")
         for path in self.images.orphan_layer_files():
             problems.append(f"orphan layer file {path.name}")
         return problems

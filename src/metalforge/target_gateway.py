@@ -36,7 +36,7 @@ from .errors import (
     TargetGone,
     error_by_code,
 )
-from .image_store import ImageKind, ImageStore
+from .image_store import ImageStore
 from .isolation import IsolationService
 from .journal import Journal
 
@@ -90,15 +90,6 @@ class TargetRecord:
     allowed_initiators: set
     created_at: float
     counters: TrafficCounters = field(default_factory=TrafficCounters)
-
-    def to_public(self) -> dict:
-        return {
-            "name": self.name,
-            "image": self.image,
-            "tenant": self.tenant,
-            "allowed_initiators": sorted(self.allowed_initiators),
-            "counters": self.counters.to_public(),
-        }
 
 
 class TargetGateway:
@@ -259,7 +250,7 @@ class TargetGateway:
         image = self.store.check_owned(tenant, image_id)
         if image.exporter is not None:
             raise AlreadyExported(f"image {image_id} already exported as {image.exporter}")
-        if image.child_count or image.kind is ImageKind.SNAPSHOT:
+        if not image.writable:
             raise ImmutableImage(f"image {image_id} is not writable")
 
     def _authorize(self, initiator: str, rec: TargetRecord) -> None:

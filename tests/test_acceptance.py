@@ -356,13 +356,11 @@ def test_criterion_10_golden_files(tmp_path):
     stack = Orchestrator.open(tmp_path / "root")
     matched = 0
     for mac, target, node in fixed:
-        arts = stack.netboot._build(node, mac, target)
+        pointer, script, descriptor = stack.netboot._render(node, mac, target)
         dashes = mac_with_dashes(mac)
-        assert arts.pointer.render() == \
-            (golden_dir / f"pointer-{dashes}.cfg").read_text()
-        assert arts.script.text == (golden_dir / f"script-{dashes}.ipxe").read_text()
-        assert arts.descriptor.to_json() == \
-            (golden_dir / f"descriptor-{dashes}.json").read_text()
+        assert pointer == (golden_dir / f"pointer-{dashes}.cfg").read_text()
+        assert script == (golden_dir / f"script-{dashes}.ipxe").read_text()
+        assert descriptor == (golden_dir / f"descriptor-{dashes}.json").read_text()
         matched += 3
     stack.close()
     report(10, f"{matched}/9 artifacts byte-identical to committed goldens")

@@ -2,7 +2,9 @@
 suite: guest reads and the read-backs after snapshot and after recover are
 compared with a reference model, and every repetition must end with
 ``verify_invariants() == []``. ``guest_io`` runs traced, so the per-layer
-wrappers are exercised against the current method signatures."""
+wrappers are exercised against the current method signatures. ``fleet_churn``
+is the one pass with more than 999 nodes, and it writes netboot files for
+every provision at fleet scale."""
 
 import json
 import subprocess
@@ -21,6 +23,10 @@ def run_pass(workload: str, trace: str) -> None:
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["correct"] is True, run.stderr
     assert result["failed"] == 0, run.stderr
+
+
+def test_fleet_churn_benchmark_pass_is_correct():
+    run_pass("fleet_churn", "0")
 
 
 def test_lifecycle_benchmark_pass_is_correct():

@@ -200,7 +200,8 @@ class TestDifferential:
             "provisions": stack.list_provisions("t1"),
             "images": [r.to_public() for r in stack.images.list_images("t1")],
             "pool": stack.pool.counts(),
-            "targets": [t.to_public() for t in stack.gateway.targets()],
+            "targets": [(t.name, t.image, t.tenant, t.allowed_initiators, t.counters)
+                        for t in stack.gateway.targets()],
         }
 
     def test_cli_effects_equal_api_effects(self, tmp_path):

@@ -74,6 +74,17 @@ class TestAllocate:
         with pytest.raises(NotFound):
             pool.allocate_node("t1", "node-999")
 
+    def test_registration_order_past_999_nodes(self, pool):
+        # ids past node-999 grow a digit, so string order would put
+        # node-1000 before node-101
+        ids = [pool.register_node(f"02:00:00:00:{i >> 8:02x}:{i & 0xff:02x}")
+               for i in range(1001)]
+        assert ids[-2:] == ["node-1000", "node-1001"]
+        for _ in range(100):
+            pool.allocate_node("t1")
+        assert pool.allocate_node("t1") == "node-101"
+        assert [n.id for n in pool.nodes()] == ids
+
 
 class TestNetwork:
     def test_attach_wrong_tenant(self, pool):

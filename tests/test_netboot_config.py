@@ -52,16 +52,14 @@ class TestInstall:
     def test_install_creates_consistent_chain(self, rig):
         stack, node, mac, target = rig
         descriptor = stack.netboot.install_boot_config(node, mac, target)
-        arts = stack.netboot.lookup_boot(mac)
-        assert arts is not None
-        assert arts.pointer.filename == "undionly.kpxe"
-        assert f"ipxe/{mac}.ipxe" in arts.pointer.render()
-        assert arts.script.lines[0] == "#!ipxe"
-        assert arts.script.target == target
-        assert arts.descriptor == descriptor
+        assert stack.netboot.lookup_boot(mac) == descriptor
         assert descriptor.target == target
-        for path in stack.netboot.artifact_paths(mac):
-            assert path.is_file()
+        pointer, script, served = (p.read_text() for p in stack.netboot.artifact_paths(mac))
+        assert "KERNEL undionly.kpxe\n" in pointer
+        assert f"ipxe/{mac}.ipxe" in pointer
+        assert script.splitlines()[0] == "#!ipxe"
+        assert script.splitlines()[-1].endswith(f"::::{target}")
+        assert served == stack.netboot.lookup_boot(mac).to_json()
 
     def test_double_install_rejected(self, rig):
         stack, node, mac, target = rig
@@ -123,22 +121,21 @@ class TestLookup:
         stack.netboot.install_boot_config(node, mac, target)
         spoofed = stack.netboot.lookup_boot(mac.upper())
         assert spoofed is not None
-        assert spoofed.descriptor.target == target
+        assert spoofed.target == target
 
 
 class TestGoldenFiles:
     @pytest.mark.parametrize("mac,target,node", FIXED_INPUTS)
     def test_artifacts_match_committed_goldens(self, stack, mac, target, node):
-        arts = stack.netboot._build(node, mac, target)
+        pointer, script, descriptor = stack.netboot._render(node, mac, target)
         dashes = mac_with_dashes(mac)
-        assert arts.pointer.render() == (GOLDEN / f"pointer-{dashes}.cfg").read_text()
-        assert arts.script.text == (GOLDEN / f"script-{dashes}.ipxe").read_text()
-        assert arts.descriptor.to_json() == (GOLDEN / f"descriptor-{dashes}.json").read_text()
+        assert pointer == (GOLDEN / f"pointer-{dashes}.cfg").read_text()
+        assert script == (GOLDEN / f"script-{dashes}.ipxe").read_text()
+        assert descriptor == (GOLDEN / f"descriptor-{dashes}.json").read_text()
 
     def test_script_format_is_exactly_three_lines(self, stack):
         mac, target, node = FIXED_INPUTS[0]
-        arts = stack.netboot._build(node, mac, target)
-        lines = arts.script.text.splitlines()
+        lines = stack.netboot._render(node, mac, target)[1].splitlines()
         assert len(lines) == 3
         assert lines[0] == "#!ipxe"
         assert lines[1].startswith("set initiator-iqn ")

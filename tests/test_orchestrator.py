@@ -36,7 +36,7 @@ class TestProvision:
         assert stack.images.get(rec.clone_image).parent == image
         assert stack.gateway.get(rec.target).image == rec.clone_image
         mac = stack.pool.get(rec.node).mac
-        assert stack.netboot.lookup_boot(mac).descriptor.target == rec.target
+        assert stack.netboot.lookup_boot(mac).target == rec.target
         assert stack.pool.network_of(rec.node) == T1
         assert stack.verify_invariants() == []
 

@@ -98,7 +98,8 @@ def test_rebind_target_and_delete_image_cannot_both_win(tmp_path):
 def public_state(stack) -> dict:
     return {
         "records": [r.to_public() for r in stack.records()],
-        "targets": [t.to_public() for t in stack.gateway.targets()],
+        "targets": [(t.name, t.image, t.tenant, t.allowed_initiators, t.counters)
+                    for t in stack.gateway.targets()],
         "images": [r.to_public() for r in stack.images.records()],
         "exporters": [r.exporter for r in stack.images.records()],
         "nodes": [n.to_public() for n in stack.pool.nodes()],
