@@ -406,10 +406,17 @@ class ImageStore:
         self._bump(blocks_ingested=ingested)
         return image_id
 
-    def linked_clone(self, tenant: str, parent_id: str, name: str) -> str:
-        """Create a writable child layer; transfers zero data blocks. A live
-        disk (an exported image that is not a snapshot) is refused with
-        ImageInUse: a child would freeze it under its node."""
+    def reserve_id(self) -> str:
+        """Draw an image id that no image has, for a later ``linked_clone``."""
+        with self.journal.lock:
+            return self._next_id()
+
+    def linked_clone(self, tenant: str, parent_id: str, name: str,
+                     image_id: str | None = None) -> str:
+        """Create a writable child layer, under ``image_id`` if given (an id
+        from ``reserve_id``); transfers zero data blocks. A live disk (an
+        exported image that is not a snapshot) is refused with ImageInUse: a
+        child would freeze it under its node."""
         parent = self.check_readable(tenant, parent_id)
         with self._pinned(parent, write=True) as chain:
             with self.journal.lock:
@@ -420,7 +427,7 @@ class ImageStore:
                     raise ChainTooDeep(
                         f"chain depth {depth} exceeds limit {self.config.max_chain_depth}")
                 self._require_name_free(tenant, name)
-                image_id = self._next_id()
+                image_id = image_id or self._next_id()
                 record = self._create_record(image_id, tenant, name, ImageKind.CLONE,
                                              parent_id, parent.virtual_size)
                 record["block_size"] = parent.block_size  # chains must align

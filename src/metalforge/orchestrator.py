@@ -100,9 +100,6 @@ class ProvisionRecord:
     target: str | None = None
     owns_clone: bool = True
     keep_image: bool = False
-    # In memory only: the image that already held clone_name at prov.begin;
-    # teardown never adopts it.
-    name_holder: str | None = None
 
     @property
     def clone_name(self) -> str:
@@ -217,8 +214,6 @@ class Orchestrator:
             )
             if rec.node in self._records:
                 raise ValueError(f"duplicate live provision record for {rec.node}")
-            holder = self.images.find_by_name(rec.tenant, rec.clone_name)
-            rec.name_holder = holder.id if holder is not None else None
             self._records[rec.node] = rec
             self._prov_seq = max(self._prov_seq, rec.seq)
         elif op == "prov.step":
@@ -290,7 +285,8 @@ class Orchestrator:
                 raise ImageInUse(f"image {image} is the live disk of {exporter}")
             node_id = self.pool.allocate_node(tenant, node)
             with self._node_lock(node_id):
-                rec = self._begin(node_id, tenant, image, owns_clone=True)
+                rec = self._begin(node_id, tenant, image, owns_clone=True,
+                                  clone_image=self.images.reserve_id())
                 try:
                     self._stand_up(rec, ("clone", "export", "configure", "attach"))
                 except RollbackReport as report:
@@ -383,8 +379,7 @@ class Orchestrator:
 
     def list_provisions(self, tenant: str) -> list[dict]:
         with self.journal.lock:
-            return [r.to_public() for r in sorted(self._records.values(), key=lambda r: r.node)
-                    if r.tenant == tenant]
+            return [r.to_public() for r in self.records() if r.tenant == tenant]
 
     def get_record(self, tenant: str, node: str) -> ProvisionRecord:
         return self._owned_record(tenant, node)
@@ -397,8 +392,9 @@ class Orchestrator:
         return self.gateway.get_traffic(rec.target).to_public()
 
     def records(self) -> list[ProvisionRecord]:
+        """Live records, in the pool's registration order of their nodes."""
         with self.journal.lock:
-            return sorted(self._records.values(), key=lambda r: r.node)
+            return [self._records[n.id] for n in self.pool.nodes() if n.id in self._records]
 
     def authenticate(self, token: str | None) -> str | None:
         """Resolve an API token to a tenant; None when auth is disabled."""
@@ -480,7 +476,7 @@ class Orchestrator:
     # -- flow internals ---------------------------------------------------------------------
 
     def _begin(self, node: str, tenant: str, source_image: str, owns_clone: bool,
-               clone_image: str | None = None) -> ProvisionRecord:
+               clone_image: str) -> ProvisionRecord:
         with self.journal.lock:  # sequence numbers commit in the order they are drawn
             self._prov_seq += 1
             record = {
@@ -492,9 +488,8 @@ class Orchestrator:
                 "seq": self._prov_seq,
                 "created_at": time.time(),
                 "owns_clone": owns_clone,
+                "clone_image": clone_image,
             }
-            if clone_image is not None:
-                record["clone_image"] = clone_image
             self.journal.commit(record)
             return self._records[node]
 
@@ -522,8 +517,9 @@ class Orchestrator:
         self._step(rec, ProvisionState.READY)
 
     def _step_clone(self, rec: ProvisionRecord) -> None:
-        clone = self.images.linked_clone(rec.tenant, rec.source_image, rec.clone_name)
-        self._step(rec, ProvisionState.CLONING, clone_image=clone)
+        self.images.linked_clone(rec.tenant, rec.source_image, rec.clone_name,
+                                 rec.clone_image)
+        self._step(rec, ProvisionState.CLONING, clone_image=rec.clone_image)
 
     def _step_export(self, rec: ProvisionRecord) -> None:
         target = self.gateway.create_target(rec.tenant, rec.clone_image, {rec.node})
@@ -551,24 +547,17 @@ class Orchestrator:
         deprovisioning record, ending with its ``prov.end``.
 
         An in-flight record (a stand-up that failed or crashed) keeps its
-        clone iff it does not own it, and commits ROLLED_BACK first. A crash
-        can land between an artifact's own commit and the record step that
-        names it, so its artifacts are rediscovered through their
-        deterministic names; only an image that ``_step_clone`` could have
-        made (a child of the source image) is adopted, and never the one
-        that held the clone name when the flow began. A deprovisioning
-        record keeps its clone iff ``keep_image``. A clone that has children
-        (linked clones made of it through the image store while no target
-        exported it) stays too, since they read through it; the teardown
-        still completes.
+        clone iff it does not own it, and commits ROLLED_BACK first. Its
+        begin record names the clone's id before the clone is made, so only
+        that image is deleted, and a target made before the step that names
+        it is found as the clone's exporter. A deprovisioning record keeps
+        its clone iff ``keep_image``. A clone that has children (linked
+        clones made of it through the image store while no target exported
+        it) stays too, since they read through it; the teardown still
+        completes.
         """
         in_flight = rec.state in _IN_FLIGHT
         clone, target = rec.clone_image, rec.target
-        if in_flight and clone is None and rec.owns_clone:
-            named = self.images.find_by_name(rec.tenant, rec.clone_name)
-            if (named is not None and named.id != rec.name_holder
-                    and named.parent == rec.source_image):
-                clone = named.id
         if in_flight and target is None and clone is not None:
             try:
                 target = self.images.get(clone).exporter

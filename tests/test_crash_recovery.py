@@ -3,6 +3,8 @@ consistent world: every node ends up ready or fully rolled back, and the
 global sweep finds no orphans."""
 
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from metalforge.orchestrator import Orchestrator, ProvisionState, StackConfig
 
 BS = 4096
 T1 = "t1"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def crash_after(stack, commit_number):
@@ -83,6 +86,10 @@ class TestProvisionCutPoints:
                     f"cut {cut}: record left in {rec.state}"
             # the golden image always survives intact
             assert revived.images.exists(image)
+            # the revived stack provisions again; right after prov.begin it
+            # hands out anew the clone id that the torn-down record named
+            revived.provision(T1, image)
+            assert revived.verify_invariants() == [], f"cut {cut}"
             revived.close()
 
     def test_last_cut_leaves_provision_ready(self, tmp_path):
@@ -305,28 +312,64 @@ def test_crashed_rollback_spares_image_holding_the_clone_name(tmp_path):
     revived.close()
 
 
+def import_under_name(stack, image):
+    """The tenant imports a new image under the name it is given."""
+    return lambda name: stack.images.import_image(T1, name, b"tenant data")
+
+
+def rename_kept_disk(stack, image):
+    """The tenant renames a disk it kept, a child of ``image``, to the name
+    it is given."""
+    kept = stack.provision(T1, image, node="node-001")
+    stack.gateway.target_write(kept.node, kept.target, 0, b"tenant data")
+    stack.deprovision(T1, kept.node, keep_image=True)
+
+    def take(name):
+        stack.images.rename_image(T1, kept.clone_image, name)
+        return kept.clone_image
+    return take
+
+
 def test_crashed_rollback_spares_image_that_took_the_clone_name_mid_flow(tmp_path):
-    stack = build_stack(tmp_path / "root")
-    image = prep_provision(stack)
-    taken = {}
+    for takes_name in (import_under_name, rename_kept_disk):
+        root = tmp_path / takes_name.__name__
+        stack = build_stack(root / "root")
+        image = prep_provision(stack)
+        take = takes_name(stack, image)
+        taken = {}
 
-    def fault(step, node):
-        if step == "clone":  # the tenant takes the name before the clone commits
-            taken["id"] = stack.images.import_image(T1, "node-001-disk-1", b"tenant data")
+        def fault(step, node):
+            if step == "clone":  # the tenant takes the name before the clone commits
+                taken["id"] = take(stack.get_record(T1, node).clone_name)
 
-    def crash(seq, record):
-        if taken and record["type"] != "image.create":  # first rollback commit
-            raise SimulatedCrash("crash during rollback")
+        def crash(seq, record):
+            if taken and record["type"] != "image.create":  # first rollback commit
+                raise SimulatedCrash("crash during rollback")
 
-    stack.fault_hook = fault
-    stack.journal.commit_hook = crash
-    with pytest.raises(SimulatedCrash):
-        stack.provision(T1, image, node="node-001")
-    stack.journal.commit_hook = None
-    stack.images.close()
-    stack.journal.close()
+        stack.fault_hook = fault
+        stack.journal.commit_hook = crash
+        with pytest.raises(SimulatedCrash):
+            stack.provision(T1, image, node="node-001")
+        stack.journal.commit_hook = None
+        stack.images.close()
+        stack.journal.close()
 
+        revived = reopen(root)
+        assert revived.images.read_range(taken["id"], 0, 11) == b"tenant data", \
+            takes_name.__name__
+        assert revived.verify_invariants() == []
+        revived.close()
+
+
+def test_older_root_crashed_after_clone_create_keeps_the_clone(tmp_path):
+    # written by a version whose prov.begin did not name the clone, with a
+    # provision that crashed right after its clone's image.create: open
+    # releases the node and deletes no image, since none is named
+    shutil.copytree(FIXTURES / "root-crashed-after-clone-create", tmp_path / "root")
     revived = reopen(tmp_path)
-    assert revived.images.read_range(taken["id"], 0, 11) == b"tenant data"
+    assert revived.records() == []
+    assert revived.pool.counts() == {"registered": 2, "free": 2, "allocated": 0}
+    clone = revived.images.find_by_name(T1, "node-001-disk-1")
+    assert clone is not None and clone.tenant == T1
     assert revived.verify_invariants() == []
     revived.close()

@@ -165,6 +165,14 @@ class TestLinkedClone:
         for offset, length in ((0, 100), (BS - 10, 20), (5 * BS, 3 * BS)):
             assert store.read_range(clone, offset, length) == payload[offset : offset + length]
 
+    def test_clone_under_a_reserved_id(self, store):
+        parent = store.create_image("t1", "base", BS)
+        reserved = store.reserve_id()
+        other = store.create_image("t1", "other", BS)  # draws past the reservation
+        assert other != reserved and not store.exists(reserved)
+        assert store.linked_clone("t1", parent, "c1", reserved) == reserved
+        assert store.get(reserved).parent == parent
+
     def test_24_clones_of_one_parent(self, store):
         parent = store.import_image("t1", "base", b"\x01" * BS)
         for i in range(24):

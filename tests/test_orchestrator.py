@@ -1,5 +1,6 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import pytest
 
@@ -26,6 +27,23 @@ T1, T2 = "t1", "t2"
 def seed_image(stack, tenant=T1, name="base", blocks=16, seed=0):
     return stack.images.import_image(tenant, name,
                                      random.Random(seed).randbytes(blocks * BS))
+
+
+def import_under_name(stack, image):
+    """The tenant imports a new image under the name it is given."""
+    return lambda name: seed_image(stack, name=name, seed=1)
+
+
+def rename_kept_disk(stack, image):
+    """The tenant renames a disk it kept, a child of ``image``, to the name
+    it is given."""
+    kept = stack.provision(T1, image, node="node-001")
+    stack.deprovision(T1, kept.node, keep_image=True)
+
+    def take(name):
+        stack.images.rename_image(T1, kept.clone_image, name)
+        return kept.clone_image
+    return take
 
 
 class TestProvision:
@@ -128,21 +146,25 @@ class TestRollback:
         assert stack.images.get(squatter).name == "node-001-disk-2"
         assert stack.verify_invariants() == []
 
-    def test_rollback_spares_image_that_took_the_clone_name_mid_flow(self, stack):
-        image = seed_image(stack)
-        taken = {}
+    def test_rollback_spares_image_that_took_the_clone_name_mid_flow(self, tmp_path):
+        for takes_name in (import_under_name, rename_kept_disk):
+            with closing(build_stack(tmp_path / takes_name.__name__)) as stack:
+                image = seed_image(stack)
+                take = takes_name(stack, image)
+                taken = {}
 
-        def hook(step, node):
-            if step == "clone":  # the tenant takes the name before the clone commits
-                taken["id"] = seed_image(stack, name="node-001-disk-1", seed=1)
+                def hook(step, node):
+                    if step == "clone":  # the tenant takes the name before the clone commits
+                        taken["name"] = stack.get_record(T1, node).clone_name
+                        taken["id"] = take(taken["name"])
 
-        stack.fault_hook = hook
-        with pytest.raises(RollbackReport) as err:
-            stack.provision(T1, image, node="node-001")
-        stack.fault_hook = None
-        assert (err.value.failing_step, err.value.cause_code) == ("clone", "DuplicateName")
-        assert stack.images.get(taken["id"]).name == "node-001-disk-1"
-        assert stack.verify_invariants() == []
+                stack.fault_hook = hook
+                with pytest.raises(RollbackReport) as err:
+                    stack.provision(T1, image, node="node-001")
+                stack.fault_hook = None
+                assert (err.value.failing_step, err.value.cause_code) == ("clone", "DuplicateName")
+                assert stack.images.get(taken["id"]).name == taken["name"], takes_name.__name__
+                assert stack.verify_invariants() == []
 
     def test_rollback_then_retry_succeeds(self, stack):
         image = seed_image(stack)
@@ -460,6 +482,16 @@ class TestQueries:
         listed = {n["id"]: n for n in stack.list_nodes(T1)}
         assert listed[rec1.node]["tenant"] == T1
         assert listed[rec2.node]["tenant"] is None  # masked
+
+    def test_records_list_nodes_in_registration_order_past_999(self, tmp_path):
+        # ids past node-999 grow a digit, so string order would put
+        # node-1000 before node-101
+        with closing(build_stack(tmp_path / "r", nodes=1001)) as stack:
+            image = seed_image(stack, blocks=1)
+            stack.provision(T1, image, node="node-1000")
+            stack.provision(T1, image, node="node-101")
+            assert [r.node for r in stack.records()] == ["node-101", "node-1000"]
+            assert [r["node"] for r in stack.list_provisions(T1)] == ["node-101", "node-1000"]
 
     def test_traffic_passthrough(self, stack):
         image = seed_image(stack)
