@@ -27,7 +27,7 @@ from .node_simulator import (
     os_boot_pattern,
     read_heavy_workload,
 )
-from .orchestrator import Orchestrator, StackConfig
+from .orchestrator import REEXPORT, STEPS, Orchestrator, StackConfig
 from .virtual_time import (
     DelayProfile,
     Flow,
@@ -40,7 +40,7 @@ from .virtual_time import (
 )
 
 BENCH_TENANT = "bench"
-ORCH_STEPS = ("allocate", "clone", "export", "configure", "attach")
+ORCH_STEPS = ("allocate", *(name for name, _, _ in STEPS))
 SCENARIOS = ("provision_single", "provision_scaling", "reprovision_vs_fresh",
              "traffic_curves")
 
@@ -237,9 +237,9 @@ def _reprovision_vs_fresh(spec: BenchSpec, root: Path, profile: DelayProfile) ->
 
     marker_back = svc.gateway.session(new_rec.node).read(new_rec.target, marker_off,
                                                          len(marker))
-    teardown = ("detach", "remove_config", "delete_target", "release")
-    setup = ("export", "configure", "attach")
-    reprovision_ms = (_orchestration_ms(profile, teardown + setup, recover_commits)
+    rows = STEPS[REEXPORT:]  # recover keeps the clone: it undoes and redoes the rest
+    steps = [undo for *_, undo in reversed(rows)] + ["release"] + [name for name, *_ in rows]
+    reprovision_ms = (_orchestration_ms(profile, steps, recover_commits)
                       + profile.boot_ms(requests, nbytes))
     fresh_ms = (2 * profile.firmware_ms + profile.diskful_install_ms
                 + profile.transfer_ms(size))

@@ -17,6 +17,7 @@ import urllib.request
 
 from .api import ApiServer, serve_http
 from .bench import SCENARIOS, BenchSpec, run_bench
+from .errors import RootBusy
 from .orchestrator import Orchestrator, StackConfig
 
 
@@ -258,9 +259,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "bench":
         return cmd_bench(args)
-    if args.command == "serve":
-        return cmd_serve(args)
-    client = make_client(args)
+    try:
+        if args.command == "serve":
+            return cmd_serve(args)
+        client = make_client(args)
+    except RootBusy as exc:  # one process owns a root; others use its API
+        print(f"error RootBusy: {exc}; reach a served root with --api http://HOST:PORT",
+              file=sys.stderr)
+        return 1
     try:
         return run_command(args, client)
     finally:

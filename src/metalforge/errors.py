@@ -127,6 +127,12 @@ class DirtyEnvironment(MetalforgeError):
     code = "DirtyEnvironment"
 
 
+class RootBusy(MetalforgeError):
+    """Another process has the persistence root open."""
+
+    code = "RootBusy"
+
+
 class RollbackReport(MetalforgeError):
     """A provisioning step failed and the flow was fully compensated.
 

@@ -9,6 +9,11 @@ length, the payload (canonical JSON), then a 4-byte big-endian CRC32 of the
 payload. A torn tail (short frame or CRC mismatch) is discarded on open;
 anything before it is the committed prefix.
 
+One process owns a root: ``load`` takes an exclusive ``flock`` on the
+journal's own handle and raises ``RootBusy`` while another handle holds it.
+``close`` releases it, and so does the death of the process that held it.
+``read_records`` takes no lock.
+
 The journal's ``lock`` is the stack lock: the one lock that guards every
 service's in-memory metadata. ``commit`` holds it across the applier lookup,
 the append, the commit hook and the apply, so the journal's order is always
@@ -20,6 +25,7 @@ Data-path locks (per-node flow locks, image ``RWLock``s,
 holding it, and the stack lock is never held across block I/O.
 """
 
+import fcntl
 import json
 import logging
 import os
@@ -28,6 +34,8 @@ import threading
 import zlib
 from pathlib import Path
 from typing import Any, Callable, Iterator
+
+from .errors import RootBusy
 
 log = logging.getLogger(__name__)
 
@@ -63,26 +71,31 @@ class Journal:
         return self._commits
 
     def load(self) -> list[dict]:
-        """Read the committed prefix, truncate any torn tail, open for append."""
+        """Lock the journal, read the committed prefix, truncate any torn
+        tail and open for append."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(self.path, "ab")
+        try:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            fh.close()
+            raise RootBusy(f"{self.path} is held by another open stack") from None
+        self._fh = fh
+        data = self.path.read_bytes()
         records: list[dict] = []
-        valid_end = 0
-        if self.path.exists():
-            data = self.path.read_bytes()
-            offset = 0
-            while True:
-                rec, nxt = _decode_at(data, offset)
-                if rec is None:
-                    break
-                records.append(rec)
-                offset = nxt
-            valid_end = offset
-            if valid_end != len(data):
-                log.warning(
-                    "journal %s: dropping %d bytes of torn tail",
-                    self.path, len(data) - valid_end,
-                )
-        self._fh = open(self.path, "ab")
+        offset = 0
+        while True:
+            rec, nxt = _decode_at(data, offset)
+            if rec is None:
+                break
+            records.append(rec)
+            offset = nxt
+        valid_end = offset
+        if valid_end != len(data):
+            log.warning(
+                "journal %s: dropping %d bytes of torn tail",
+                self.path, len(data) - valid_end,
+            )
         if valid_end != self._fh.tell():
             self._fh.truncate(valid_end)
             self._fh.seek(0, os.SEEK_END)

@@ -3,18 +3,22 @@
 Owns the node/image mapping database and sequences the image store, target
 gateway, netboot and isolation services for provision, deprovision,
 snapshot and recovery. Every step of a flow is committed through the shared
-journal before the next begins. Provision and the second half of recovery
-stand a node up through one path (``_stand_up``); deprovision, the first
-half of recovery, a failed stand-up and crash recovery all take it down
-through one other (``_teardown``). A crash is therefore always resolved on
-restart the same way: half-done stand-ups are rolled back, half-done
-deprovisions are completed, and the global state stays orphan-free.
+journal before the next begins. ``STEPS`` is the stand-up as one table,
+each step beside its undo; the state machine and the benchmark's priced
+steps are read from it. Provision and the second half of recovery run its
+rows through ``_stand_up``; deprovision, the first half of recovery, a
+failed stand-up and crash recovery run every undo, last row first, through
+``_teardown``. A crash is therefore always resolved on restart the same
+way: half-done stand-ups are rolled back, half-done deprovisions are
+completed, and the global state stays orphan-free. Snapshot is
+straight-line code under the disk's fence, outside the table.
 """
 
 import json
 import logging
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -54,38 +58,33 @@ class ProvisionState(Enum):
 
 REMOVED = "removed"  # terminal pseudo-state: the record leaves the live set
 
-STATE_EDGES = frozenset({
-    ("allocating", "cloning"),
-    ("cloning", "exporting"),
-    ("exporting", "configuring"),
-    ("configuring", "attaching"),
-    ("attaching", "ready"),
-    ("ready", "booted"),
-    ("ready", "deprovisioning"),
-    ("booted", "deprovisioning"),
-    ("ready", "failed_node"),
-    ("booted", "failed_node"),
-    ("failed_node", "deprovisioning"),
-    # recovery re-exports an existing clone; the cloning step is skipped
-    ("allocating", "exporting"),
-    ("allocating", "rolled_back"),
-    ("cloning", "rolled_back"),
-    ("exporting", "rolled_back"),
-    ("configuring", "rolled_back"),
-    ("attaching", "rolled_back"),
-    ("deprovisioning", REMOVED),
-    ("rolled_back", REMOVED),
-})
+# The stand-up, one row per step in the order it runs: the step, the state
+# its ``prov.step`` commits, and the undo that reverses it. The method of
+# each step and undo is ``_<name>``. Every undo is idempotent, so a teardown
+# runs them all, last row first, whatever row the flow reached.
+STEPS = (
+    ("clone", ProvisionState.CLONING, "delete_image"),
+    ("export", ProvisionState.EXPORTING, "delete_target"),
+    ("configure", ProvisionState.CONFIGURING, "remove_config"),
+    ("attach", ProvisionState.ATTACHING, "detach"),
+)
+REEXPORT = 1  # recover re-exports a kept clone: its stand-up starts at this row
 
-_IN_FLIGHT = {
-    ProvisionState.ALLOCATING,
-    ProvisionState.CLONING,
-    ProvisionState.EXPORTING,
-    ProvisionState.CONFIGURING,
-    ProvisionState.ATTACHING,
-}
-
-_QUIESCED = {ProvisionState.READY, ProvisionState.BOOTED, ProvisionState.FAILED_NODE}
+_STAND_UP = (ProvisionState.ALLOCATING, *(state for _, state, _ in STEPS),
+             ProvisionState.READY)
+_IN_FLIGHT = set(_STAND_UP[:-1])
+_LIVE = (ProvisionState.READY, ProvisionState.BOOTED)
+_QUIESCED = {*_LIVE, ProvisionState.FAILED_NODE}
+STATE_EDGES = frozenset((old.value, getattr(new, "value", new)) for old, new in (
+    *zip(_STAND_UP, _STAND_UP[1:]),
+    (ProvisionState.ALLOCATING, STEPS[REEXPORT][1]),
+    *((state, ProvisionState.ROLLED_BACK) for state in _IN_FLIGHT),
+    (ProvisionState.READY, ProvisionState.BOOTED),
+    *((state, ProvisionState.FAILED_NODE) for state in _LIVE),
+    *((state, ProvisionState.DEPROVISIONING) for state in _QUIESCED),
+    (ProvisionState.DEPROVISIONING, REMOVED),
+    (ProvisionState.ROLLED_BACK, REMOVED),
+))
 
 
 @dataclass
@@ -98,8 +97,7 @@ class ProvisionRecord:
     created_at: float
     clone_image: str | None = None
     target: str | None = None
-    owns_clone: bool = True
-    keep_image: bool = False
+    keep_image: bool = False  # a teardown keeps the clone (recover begins with it set)
 
     @property
     def clone_name(self) -> str:
@@ -210,7 +208,7 @@ class Orchestrator:
                 seq=record["seq"],
                 created_at=record["created_at"],
                 clone_image=record.get("clone_image"),
-                owns_clone=record.get("owns_clone", True),
+                keep_image=not record.get("owns_clone", True),
             )
             if rec.node in self._records:
                 raise ValueError(f"duplicate live provision record for {rec.node}")
@@ -288,7 +286,7 @@ class Orchestrator:
                 rec = self._begin(node_id, tenant, image, owns_clone=True,
                                   clone_image=self.images.reserve_id())
                 try:
-                    self._stand_up(rec, ("clone", "export", "configure", "attach"))
+                    self._stand_up(rec, 0)
                 except RollbackReport as report:
                     self._idem_store("provision", idempotency_key, ok=False,
                                      node=node_id, error=report)
@@ -306,7 +304,7 @@ class Orchestrator:
                 self._replay_simple_outcome(prior)
                 return
             with self._node_lock(node):
-                self._retire(self._owned_record(tenant, node), keep_image)
+                self._teardown(self._owned_record(tenant, node), keep_image)
             self._idem_store("deprovision", idempotency_key, ok=True, node=node)
 
     def snapshot(self, tenant: str, node: str, snapshot_name: str) -> str:
@@ -327,7 +325,11 @@ class Orchestrator:
                         f"tenant {tenant} already has an image named {snapshot_name!r}")
                 with self.gateway.fence(rec.target):
                     self.images.rename_image(tenant, old_clone, snapshot_name)
-                    self.images.flatten(old_clone)
+                    try:
+                        self.images.flatten(old_clone)
+                    except MetalforgeError:  # the disk is still live: give its name back
+                        self.images.rename_image(tenant, old_clone, fresh_name)
+                        raise
                     fresh = self.images.linked_clone(tenant, old_clone, fresh_name)
                     self.gateway.rebind_target(tenant, rec.target, fresh)
                 self.journal.commit({"type": "prov.update", "node": node, "seq": rec.seq,
@@ -347,14 +349,14 @@ class Orchestrator:
                 self.pool.require_failed(failed_node)
                 if rec.state is ProvisionState.DEPROVISIONING and not rec.keep_image:
                     raise InvalidRequest(f"node {failed_node} is being deprovisioned")
-                if rec.state in (ProvisionState.READY, ProvisionState.BOOTED):
+                if rec.state in _LIVE:
                     self._step(rec, ProvisionState.FAILED_NODE)
-                self._retire(rec, keep_image=True)
+                self._teardown(rec, keep_image=True)
             new_id = self.pool.allocate_node(tenant, new_node)
             with self._node_lock(new_id):
                 rec2 = self._begin(new_id, tenant, rec.source_image, owns_clone=False,
                                    clone_image=rec.clone_image)
-                self._stand_up(rec2, ("export", "configure", "attach"))
+                self._stand_up(rec2, REEXPORT)
                 return rec2
 
     # -- simulator signals ---------------------------------------------------------
@@ -372,7 +374,7 @@ class Orchestrator:
         with self._node_lock(node):
             self.pool.mark_failed(node)
             rec = self._records.get(node)
-            if rec is not None and rec.state in (ProvisionState.READY, ProvisionState.BOOTED):
+            if rec is not None and rec.state in _LIVE:
                 self._step(rec, ProvisionState.FAILED_NODE)
 
     # -- queries ----------------------------------------------------------------------
@@ -501,85 +503,80 @@ class Orchestrator:
         record.update(extra)
         self.journal.commit(record)
 
-    def _stand_up(self, rec: ProvisionRecord, steps: tuple[str, ...]) -> None:
-        """Run the named ``_step_<name>`` methods in order, then mark the
-        record ready. A failing step tears the flow down and raises
-        RollbackReport."""
-        for name in steps:
+    def _stand_up(self, rec: ProvisionRecord, first: int) -> None:
+        """Run the rows of ``STEPS`` from row ``first`` on, committing each
+        row's step, then mark the record ready. A failing step tears the
+        flow down and raises RollbackReport."""
+        for name, state, _ in STEPS[first:]:
             try:
                 if self.fault_hook is not None:
                     self.fault_hook(name, rec.node)
-                getattr(self, f"_step_{name}")(rec)
+                self._step(rec, state, **getattr(self, f"_{name}")(rec))
             except MetalforgeError as exc:
                 log.warning("provision step %s failed on %s: %s", name, rec.node, exc)
                 self._teardown(rec)
                 raise RollbackReport(name, exc) from exc
         self._step(rec, ProvisionState.READY)
 
-    def _step_clone(self, rec: ProvisionRecord) -> None:
+    def _clone(self, rec: ProvisionRecord) -> dict:
         self.images.linked_clone(rec.tenant, rec.source_image, rec.clone_name,
                                  rec.clone_image)
-        self._step(rec, ProvisionState.CLONING, clone_image=rec.clone_image)
+        return {"clone_image": rec.clone_image}
 
-    def _step_export(self, rec: ProvisionRecord) -> None:
-        target = self.gateway.create_target(rec.tenant, rec.clone_image, {rec.node})
-        self._step(rec, ProvisionState.EXPORTING, target=target)
+    def _export(self, rec: ProvisionRecord) -> dict:
+        return {"target": self.gateway.create_target(rec.tenant, rec.clone_image, {rec.node})}
 
-    def _step_configure(self, rec: ProvisionRecord) -> None:
-        mac = self.pool.get(rec.node).mac
-        self.netboot.install_boot_config(rec.node, mac, rec.target)
-        self._step(rec, ProvisionState.CONFIGURING)
+    def _configure(self, rec: ProvisionRecord) -> dict:
+        self.netboot.install_boot_config(rec.node, self.pool.get(rec.node).mac, rec.target)
+        return {}
 
-    def _step_attach(self, rec: ProvisionRecord) -> None:
+    def _attach(self, rec: ProvisionRecord) -> dict:
         self.pool.attach_network(rec.node, rec.tenant)
-        self._step(rec, ProvisionState.ATTACHING)
+        return {}
 
-    def _retire(self, rec: ProvisionRecord, keep_image: bool) -> None:
-        """Deprovision ``rec``. A record left deprovisioning by a teardown
-        that failed resumes that teardown with the ``keep_image`` it
-        recorded."""
-        if rec.state is not ProvisionState.DEPROVISIONING:
-            self._step(rec, ProvisionState.DEPROVISIONING, keep_image=keep_image)
-        self._teardown(rec)
+    def _teardown(self, rec: ProvisionRecord, keep_image: bool | None = None) -> None:
+        """Take ``rec`` down and end it: run every undo of ``STEPS``, last
+        row first, release the node and commit ``prov.end``.
 
-    def _teardown(self, rec: ProvisionRecord) -> None:
-        """Reverse-order, idempotent teardown of an in-flight or
-        deprovisioning record, ending with its ``prov.end``.
-
-        An in-flight record (a stand-up that failed or crashed) keeps its
-        clone iff it does not own it, and commits ROLLED_BACK first. Its
-        begin record names the clone's id before the clone is made, so only
-        that image is deleted, and a target made before the step that names
-        it is found as the clone's exporter. A deprovisioning record keeps
-        its clone iff ``keep_image``. A clone that has children (linked
-        clones made of it through the image store while no target exported
-        it) stays too, since they read through it; the teardown still
-        completes.
+        ``keep_image`` deprovisions a live record first; a record already
+        deprovisioning (a teardown that failed) resumes with the
+        ``keep_image`` it recorded. An in-flight record (a stand-up that
+        failed or crashed) commits ROLLED_BACK first, and keeps its clone iff
+        its begin record did not own it.
         """
-        in_flight = rec.state in _IN_FLIGHT
-        clone, target = rec.clone_image, rec.target
-        if in_flight and target is None and clone is not None:
-            try:
-                target = self.images.get(clone).exporter
-            except NotFound:
-                pass
-        self.pool.detach_network(rec.node)
-        self.netboot.remove_boot_config(rec.node)
-        if target is not None:
-            try:
-                self.gateway.delete_target(rec.tenant, target)
-            except NotFound:
-                pass
-        keep = not rec.owns_clone if in_flight else rec.keep_image
-        if not keep and clone is not None:
-            try:
-                self.images.delete_image(rec.tenant, clone)
-            except (NotFound, HasChildren):
-                pass
+        if keep_image is not None and rec.state is not ProvisionState.DEPROVISIONING:
+            self._step(rec, ProvisionState.DEPROVISIONING, keep_image=keep_image)
+        for _, _, undo in reversed(STEPS):
+            getattr(self, f"_{undo}")(rec)
         self.pool.release_node(rec.node)
-        if in_flight:
+        if rec.state in _IN_FLIGHT:
             self._step(rec, ProvisionState.ROLLED_BACK)
         self.journal.commit({"type": "prov.end", "node": rec.node, "seq": rec.seq})
+
+    def _detach(self, rec: ProvisionRecord) -> None:
+        self.pool.detach_network(rec.node)
+
+    def _remove_config(self, rec: ProvisionRecord) -> None:
+        self.netboot.remove_boot_config(rec.node)
+
+    def _delete_target(self, rec: ProvisionRecord) -> None:
+        """Delete the record's target, or, for an export that ran but did
+        not commit its step, the clone's exporter."""
+        target = rec.target
+        if target is None and rec.clone_image is not None:
+            with suppress(NotFound):
+                target = self.images.get(rec.clone_image).exporter
+        if target is not None:
+            with suppress(NotFound):
+                self.gateway.delete_target(rec.tenant, target)
+
+    def _delete_image(self, rec: ProvisionRecord) -> None:
+        """Delete the clone the record names unless it is kept. A clone with
+        children (linked clones made through the image store while no target
+        exported it) stays, since they read through it."""
+        if not rec.keep_image and rec.clone_image is not None:
+            with suppress(NotFound, HasChildren):
+                self.images.delete_image(rec.tenant, rec.clone_image)
 
     def _owned_record(self, tenant: str, node: str) -> ProvisionRecord:
         rec = self._live_record(node)

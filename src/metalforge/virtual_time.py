@@ -21,7 +21,6 @@ DEFAULT_STEP_MS = {
     "export": 10.0,
     "configure": 5.0,
     "attach": 8.0,
-    "finalize": 1.0,
     "detach": 5.0,
     "remove_config": 3.0,
     "delete_target": 5.0,

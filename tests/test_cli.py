@@ -252,6 +252,36 @@ class TestHttpMode:
             stack.close()
 
 
+class _NoServer:
+    """Stands in for the HTTP server: a serve that got this far returns."""
+
+    def serve_forever(self):
+        pass
+
+    def shutdown(self):
+        pass
+
+    def server_close(self):
+        pass
+
+
+class TestBusyRoot:
+    @pytest.mark.parametrize("argv", [["--tenant", "t1", "--api", "{root}", "provisions"],
+                                      ["serve", "--root", "{root}"]],
+                             ids=["local", "serve"])
+    def test_busy_root_is_one_line_naming_the_api(self, root, argv, capsys, monkeypatch):
+        monkeypatch.setattr("metalforge.cli.serve_http", lambda api, host, port: _NoServer())
+        holder = Orchestrator.open(root)
+        try:
+            code = main([arg.format(root=root) for arg in argv])
+        finally:
+            holder.close()
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error RootBusy: ")
+        assert "--api http://" in err
+
+
 class TestBench:
     def test_csv_bit_identical_across_runs(self, tmp_path):
         spec = BenchSpec("traffic_curves", {"image_mib": 32, "reps": 3}, seed=7)

@@ -379,6 +379,27 @@ class TestSnapshot:
         assert stack.images.get(rec.clone_image).kind is ImageKind.CLONE
         assert stack.verify_invariants() == []
 
+    def test_failed_flatten_gives_the_disk_its_name_back(self, stack, monkeypatch):
+        rec = stack.provision(T1, seed_image(stack))
+        disk = stack.images.get(rec.clone_image).name
+
+        def failing_flatten(image_id):
+            raise StorageFailure("flatten failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stack.images, "flatten", failing_flatten)
+            with pytest.raises(StorageFailure):
+                stack.snapshot(T1, rec.node, "snap")
+        assert stack.images.get(rec.clone_image).name == disk
+        assert stack.images.get(rec.clone_image).kind is ImageKind.CLONE
+        stack.gateway.target_write(rec.node, rec.target, 0, b"still-live")
+        assert stack.verify_invariants() == []
+
+        snap = stack.snapshot(T1, rec.node, "snap")  # a retry under the name succeeds
+        assert stack.images.get(snap).name == "snap"
+        assert stack.images.read_range(snap, 0, 10) == b"still-live"
+        assert stack.verify_invariants() == []
+
     def test_duplicate_snapshot_name(self, stack):
         image = seed_image(stack)
         rec = stack.provision(T1, image)
@@ -547,6 +568,32 @@ def test_read_write_target_on_a_frozen_disk_is_reported(tmp_path):
 
 
 class TestStateMachine:
+    def test_edge_set_is_pinned(self):
+        """Replay checks every journaled transition against this set, so it
+        is pinned exactly: a derivation that lets an extra pair through
+        fails here."""
+        assert STATE_EDGES == {
+            ("allocating", "cloning"),
+            ("cloning", "exporting"),
+            ("exporting", "configuring"),
+            ("configuring", "attaching"),
+            ("attaching", "ready"),
+            ("ready", "booted"),
+            ("ready", "deprovisioning"),
+            ("booted", "deprovisioning"),
+            ("ready", "failed_node"),
+            ("booted", "failed_node"),
+            ("failed_node", "deprovisioning"),
+            ("allocating", "exporting"),
+            ("allocating", "rolled_back"),
+            ("cloning", "rolled_back"),
+            ("exporting", "rolled_back"),
+            ("configuring", "rolled_back"),
+            ("attaching", "rolled_back"),
+            ("deprovisioning", "removed"),
+            ("rolled_back", "removed"),
+        }
+
     def test_journal_transitions_follow_declared_edges(self, tmp_path):
         stack = build_stack(tmp_path / "r", nodes=3)
         image = seed_image(stack)
