@@ -11,14 +11,15 @@ failed stand-up and crash recovery run every undo, last row first, through
 ``_teardown``. A crash is therefore always resolved on restart the same
 way: half-done stand-ups are rolled back, half-done deprovisions are
 completed, and the global state stays orphan-free. Snapshot is
-straight-line code under the disk's fence, outside the table.
+straight-line code under the disk's fence, outside the table. A retried
+provision or deprovision is answered from the records of the flow its key names.
 """
 
 import json
 import logging
 import threading
 import time
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -98,6 +99,7 @@ class ProvisionRecord:
     clone_image: str | None = None
     target: str | None = None
     keep_image: bool = False  # a teardown keeps the clone (recover begins with it set)
+    error: dict | None = None  # a failed stand-up's {"code", "failing_step"}
 
     @property
     def clone_name(self) -> str:
@@ -160,8 +162,9 @@ class Orchestrator:
         self.netboot = NetbootService(self.root / "netboot", self.gateway,
                                       self.journal, self.config.netboot)
         self._records: dict[str, ProvisionRecord] = {}
-        self._idem: dict[tuple, dict] = {}
-        self._node_locks: dict[str, threading.RLock] = {}
+        # (tenant, op, key) -> (the image or node it was sent with, the flow's record)
+        self._keyed: dict[tuple, tuple[str, ProvisionRecord]] = {}
+        self._node_locks: dict[str | tuple, threading.RLock] = {}  # per node, and per key
         self._workers = threading.BoundedSemaphore(self.config.worker_limit)
         self._prov_seq = 0
         self.journal.register("prov", self.apply)
@@ -214,15 +217,17 @@ class Orchestrator:
                 raise ValueError(f"duplicate live provision record for {rec.node}")
             self._records[rec.node] = rec
             self._prov_seq = max(self._prov_seq, rec.seq)
+            if "key" in record:
+                self._keyed[(rec.tenant, "provision", record["key"])] = (rec.source_image, rec)
         elif op == "prov.step":
             rec = self._records[record["node"]]
             self._check_edge(rec.state.value, record["state"])
             rec.state = ProvisionState(record["state"])
-            for key in ("clone_image", "target"):
-                if key in record:
-                    setattr(rec, key, record[key])
-            if "keep_image" in record:
-                rec.keep_image = record["keep_image"]
+            for name in ("clone_image", "target", "keep_image", "error"):
+                if name in record:
+                    setattr(rec, name, record[name])
+            if "key" in record:
+                self._keyed[(rec.tenant, "deprovision", record["key"])] = (rec.node, rec)
         elif op == "prov.update":
             rec = self._records[record["node"]]
             rec.clone_image = record["clone_image"]
@@ -230,8 +235,10 @@ class Orchestrator:
         elif op == "prov.end":
             rec = self._records.pop(record["node"])
             self._check_edge(rec.state.value, REMOVED)
-        elif op == "idem.outcome":
-            self._idem[(record["op"], record["key"])] = record
+        elif op == "idem.outcome":  # older roots: only a provision's success is kept
+            if record["op"] == "provision" and record["ok"]:  # its record is live
+                rec = self._records[record["node"]]
+                self._keyed[(rec.tenant, "provision", record["key"])] = (rec.source_image, rec)
         else:
             raise ValueError(f"unknown provision record type {op}")
 
@@ -242,14 +249,12 @@ class Orchestrator:
 
     # -- crash recovery ----------------------------------------------------------
 
-    def recover_incomplete(self) -> dict:
-        """Roll half-done provisions back, finish half-done deprovisions,
-        release orphaned allocations, regenerate boot files."""
-        rolled_back, completed = [], []
+    def recover_incomplete(self) -> None:
+        """Roll half-done provisions back, finish half-done deprovisions and
+        rollbacks, release orphaned allocations, regenerate boot files."""
         for rec in list(self._records.values()):
-            if rec.state in _IN_FLIGHT or rec.state is ProvisionState.DEPROVISIONING:
+            if rec.state not in _QUIESCED:
                 log.info("recovery: tearing down %s (state=%s)", rec.node, rec.state.value)
-                (rolled_back if rec.state in _IN_FLIGHT else completed).append(rec.node)
                 self._teardown(rec)
         with self.journal.lock:
             recorded = set(self._records)
@@ -261,7 +266,6 @@ class Orchestrator:
                 self.pool.release_node(node.id)
         self.netboot.regenerate_files()
         self.images.cleanup_orphan_layers()
-        return {"rolled_back": rolled_back, "completed": completed}
 
     # -- provisioning flows ---------------------------------------------------------
 
@@ -273,39 +277,39 @@ class Orchestrator:
         Any step failure compensates in reverse and raises RollbackReport.
         A live disk (an image a target exports) is refused with ImageInUse
         before a node is allocated: a clone of it would freeze the disk.
+        A keyed retry returns the first call's record or raises its
+        RollbackReport; one that open rolled back after a crash runs again.
         """
-        with self._workers:
-            prior = self._idem_lookup("provision", idempotency_key)
+        with self._workers, self._flow_lock(tenant, "provision", idempotency_key):
+            prior = self._keyed_flow(tenant, "provision", idempotency_key, image, node)
             if prior is not None:
-                return self._replay_provision_outcome(prior)
+                if prior.error is not None:
+                    raise RollbackReport(prior.error["failing_step"],
+                                         error_by_code(prior.error["code"])("replayed outcome"))
+                if prior.state is not ProvisionState.ROLLED_BACK:
+                    return prior
             exporter = self.images.check_readable(tenant, image).exporter
             if exporter is not None:
                 raise ImageInUse(f"image {image} is the live disk of {exporter}")
             node_id = self.pool.allocate_node(tenant, node)
             with self._node_lock(node_id):
                 rec = self._begin(node_id, tenant, image, owns_clone=True,
-                                  clone_image=self.images.reserve_id())
-                try:
-                    self._stand_up(rec, 0)
-                except RollbackReport as report:
-                    self._idem_store("provision", idempotency_key, ok=False,
-                                     node=node_id, error=report)
-                    raise
-                self._idem_store("provision", idempotency_key, ok=True,
-                                 node=node_id, result=rec.to_public())
+                                  clone_image=self.images.reserve_id(), key=idempotency_key)
+                self._stand_up(rec, 0)
                 return rec
 
     def deprovision(self, tenant: str, node: str, keep_image: bool = False,
                     idempotency_key: str | None = None) -> None:
-        """Tear the node's binding down; the clone is deleted unless kept."""
-        with self._workers:
-            prior = self._idem_lookup("deprovision", idempotency_key)
-            if prior is not None:
-                self._replay_simple_outcome(prior)
+        """Tear the node's binding down; the clone is deleted unless kept.
+        A keyed retry resumes that teardown, or returns once it has ended."""
+        with self._workers, self._flow_lock(tenant, "deprovision", idempotency_key), \
+                self._node_lock(node):
+            prior = self._keyed_flow(tenant, "deprovision", idempotency_key, node)
+            if prior is None:
+                prior = self._owned_record(tenant, node)
+            elif prior is not self._records.get(node):  # that teardown has ended
                 return
-            with self._node_lock(node):
-                self._teardown(self._owned_record(tenant, node), keep_image)
-            self._idem_store("deprovision", idempotency_key, ok=True, node=node)
+            self._teardown(prior, keep_image, key=idempotency_key)
 
     def snapshot(self, tenant: str, node: str, snapshot_name: str) -> str:
         """Freeze the node's disk as an immutable named image.
@@ -349,10 +353,15 @@ class Orchestrator:
                 self.pool.require_failed(failed_node)
                 if rec.state is ProvisionState.DEPROVISIONING and not rec.keep_image:
                     raise InvalidRequest(f"node {failed_node} is being deprovisioned")
-                if rec.state in _LIVE:
-                    self._step(rec, ProvisionState.FAILED_NODE)
-                self._teardown(rec, keep_image=True)
-            new_id = self.pool.allocate_node(tenant, new_node)
+                # the spare comes first: with none free, the disk keeps its record
+                new_id = self.pool.allocate_node(tenant, new_node)
+                try:
+                    if rec.state in _LIVE:
+                        self._step(rec, ProvisionState.FAILED_NODE)
+                    self._teardown(rec, keep_image=True)
+                except MetalforgeError:
+                    self.pool.release_node(new_id)
+                    raise
             with self._node_lock(new_id):
                 rec2 = self._begin(new_id, tenant, rec.source_image, owns_clone=False,
                                    clone_image=rec.clone_image)
@@ -478,7 +487,7 @@ class Orchestrator:
     # -- flow internals ---------------------------------------------------------------------
 
     def _begin(self, node: str, tenant: str, source_image: str, owns_clone: bool,
-               clone_image: str) -> ProvisionRecord:
+               clone_image: str, key: str | None = None) -> ProvisionRecord:
         with self.journal.lock:  # sequence numbers commit in the order they are drawn
             self._prov_seq += 1
             record = {
@@ -491,8 +500,9 @@ class Orchestrator:
                 "created_at": time.time(),
                 "owns_clone": owns_clone,
                 "clone_image": clone_image,
+                "key": key,
             }
-            self.journal.commit(record)
+            self.journal.commit({name: v for name, v in record.items() if v is not None})
             return self._records[node]
 
     def _step(self, rec: ProvisionRecord, state: ProvisionState, **extra) -> None:
@@ -500,7 +510,7 @@ class Orchestrator:
         self._check_edge(rec.state.value, state.value)
         record = {"type": "prov.step", "node": rec.node, "seq": rec.seq,
                   "state": state.value}
-        record.update(extra)
+        record.update((name, value) for name, value in extra.items() if value is not None)
         self.journal.commit(record)
 
     def _stand_up(self, rec: ProvisionRecord, first: int) -> None:
@@ -514,7 +524,7 @@ class Orchestrator:
                 self._step(rec, state, **getattr(self, f"_{name}")(rec))
             except MetalforgeError as exc:
                 log.warning("provision step %s failed on %s: %s", name, rec.node, exc)
-                self._teardown(rec)
+                self._teardown(rec, error={"code": exc.code, "failing_step": name})
                 raise RollbackReport(name, exc) from exc
         self._step(rec, ProvisionState.READY)
 
@@ -534,23 +544,24 @@ class Orchestrator:
         self.pool.attach_network(rec.node, rec.tenant)
         return {}
 
-    def _teardown(self, rec: ProvisionRecord, keep_image: bool | None = None) -> None:
+    def _teardown(self, rec: ProvisionRecord, keep_image: bool | None = None,
+                  key: str | None = None, error: dict | None = None) -> None:
         """Take ``rec`` down and end it: run every undo of ``STEPS``, last
         row first, release the node and commit ``prov.end``.
 
-        ``keep_image`` deprovisions a live record first; a record already
-        deprovisioning (a teardown that failed) resumes with the
-        ``keep_image`` it recorded. An in-flight record (a stand-up that
-        failed or crashed) commits ROLLED_BACK first, and keeps its clone iff
-        its begin record did not own it.
+        ``keep_image`` deprovisions a live record first, under ``key``; a
+        record already deprovisioning (a teardown that failed) resumes with
+        the ``keep_image`` it recorded. An in-flight record (a stand-up that
+        failed or crashed) commits ROLLED_BACK with ``error`` first, and keeps
+        its clone iff its begin record did not own it.
         """
         if keep_image is not None and rec.state is not ProvisionState.DEPROVISIONING:
-            self._step(rec, ProvisionState.DEPROVISIONING, keep_image=keep_image)
+            self._step(rec, ProvisionState.DEPROVISIONING, keep_image=keep_image, key=key)
         for _, _, undo in reversed(STEPS):
             getattr(self, f"_{undo}")(rec)
         self.pool.release_node(rec.node)
         if rec.state in _IN_FLIGHT:
-            self._step(rec, ProvisionState.ROLLED_BACK)
+            self._step(rec, ProvisionState.ROLLED_BACK, error=error)
         self.journal.commit({"type": "prov.end", "node": rec.node, "seq": rec.seq})
 
     def _detach(self, rec: ProvisionRecord) -> None:
@@ -591,55 +602,23 @@ class Orchestrator:
                 raise NotFound(f"node {node} has no live provision record")
             return rec
 
-    def _node_lock(self, node: str) -> threading.RLock:
+    def _node_lock(self, node: str | tuple) -> threading.RLock:
         with self.journal.lock:
             lock = self._node_locks.get(node)
             if lock is None:
                 lock = self._node_locks[node] = threading.RLock()
             return lock
 
-    # -- idempotency -------------------------------------------------------------------------
+    def _flow_lock(self, tenant: str, op: str, key: str | None):
+        return nullcontext() if key is None else self._node_lock((tenant, op, key))
 
-    def _idem_lookup(self, op: str, key: str | None) -> dict | None:
+    def _keyed_flow(self, tenant: str, op: str, key: str | None, asked: str,
+                    node: str | None = None) -> ProvisionRecord | None:
+        """The tenant's flow that ``key`` names for ``op``; a key names one request."""
         if key is None:
             return None
         with self.journal.lock:
-            return self._idem.get((op, key))
-
-    def _idem_store(self, op: str, key: str | None, ok: bool, node: str,
-                    result: dict | None = None, error: RollbackReport | None = None) -> None:
-        if key is None:
-            return
-        record = {"type": "idem.outcome", "op": op, "key": key, "ok": ok, "node": node}
-        if result is not None:
-            record["result"] = result
-        if error is not None:
-            record["error"] = {"code": error.cause_code, "failing_step": error.failing_step}
-        self.journal.commit(record)
-
-    def _replay_provision_outcome(self, prior: dict) -> ProvisionRecord:
-        if not prior["ok"]:
-            detail = prior["error"]
-            raise RollbackReport(detail["failing_step"],
-                                 error_by_code(detail["code"])("replayed outcome"))
-        with self.journal.lock:
-            live = self._records.get(prior["node"])
-            if live is not None and live.seq == prior["result"]["seq"]:
-                return live
-        snapshot = prior["result"]
-        return ProvisionRecord(
-            node=snapshot["node"],
-            tenant=snapshot["tenant"],
-            source_image=snapshot["source_image"],
-            state=ProvisionState(snapshot["state"]),
-            seq=snapshot["seq"],
-            created_at=0.0,
-            clone_image=snapshot["clone_image"],
-            target=snapshot["target"],
-        )
-
-    @staticmethod
-    def _replay_simple_outcome(prior: dict) -> None:
-        if not prior["ok"]:
-            detail = prior["error"]
-            raise error_by_code(detail["code"])("replayed outcome")
+            first, rec = self._keyed.get((tenant, op, key), (None, None))
+        if rec is not None and (first != asked or node not in (None, rec.node)):
+            raise InvalidRequest(f"key {key!r} names another {op} request")
+        return rec

@@ -146,6 +146,32 @@ class TestEndpoints:
         assert owner[rec["node"]] is None
 
 
+class TestIdempotencyKeys:
+    def test_provision_key_of_another_tenant_answers_nothing_of_theirs(self, api):
+        upload(api, "secret-1", "base", b"\x01" * BS)
+        upload(api, "secret-2", "base", b"\x02" * BS)
+        _, first = api.handle("PUT", "/v1/provision",
+                              {"image": "base", "idempotency_key": "k"}, "secret-1")
+        status, rec = api.handle("PUT", "/v1/provision",
+                                 {"image": "base", "idempotency_key": "k"}, "secret-2")
+        assert status == 200 and rec["tenant"] == "t2"
+        assert rec["node"] != first["node"]
+        assert rec["clone_image"] != first["clone_image"]
+        assert rec["target"] != first["target"]
+
+    def test_deprovision_key_of_another_tenant_releases_their_node(self, api):
+        upload(api, "secret-1", "base", b"\x01" * BS)
+        upload(api, "secret-2", "base", b"\x02" * BS)
+        _, mine = api.handle("PUT", "/v1/provision", {"image": "base"}, "secret-1")
+        api.handle("DELETE", f"/v1/provision/{mine['node']}", {"idempotency_key": "d"},
+                   "secret-1")
+        _, theirs = api.handle("PUT", "/v1/provision", {"image": "base"}, "secret-2")
+        status, body = api.handle("DELETE", f"/v1/provision/{theirs['node']}",
+                                  {"idempotency_key": "d"}, "secret-2")
+        assert status == 200 and body == {"ok": True}
+        assert api.svc.list_provisions("t2") == []
+
+
 class TestErrors:
     def test_unknown_endpoint(self, api):
         status, body = api.handle("GET", "/v2/everything", {}, "secret-1")

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SMALL_BLOCKS, build_stack
+from metalforge.errors import RollbackReport, StorageFailure
 from metalforge.journal import Journal, SimulatedCrash
 from metalforge.orchestrator import Orchestrator, ProvisionState, StackConfig
 
@@ -61,6 +62,27 @@ def prep_deprovision(stack):
 
 def do_deprovision(stack, node):
     stack.deprovision(T1, node, keep_image=False)
+
+
+def do_keyed_provision(stack, image):
+    return stack.provision(T1, image, idempotency_key="k1")
+
+
+def do_keyed_deprovision(stack, node):
+    stack.deprovision(T1, node, idempotency_key="d1")
+
+
+def crash_and_reopen(root, prep, action, cut):
+    """Run ``action`` on a fresh stack, crash it after its ``cut``-th
+    commit, reopen the root and return the revived stack and the context."""
+    stack = build_stack(root / "root")
+    context = prep(stack)
+    crash_after(stack, cut)
+    with pytest.raises(SimulatedCrash):
+        action(stack, context)
+    stack.images.close()
+    stack.journal.close()
+    return reopen(root), context
 
 
 class TestProvisionCutPoints:
@@ -131,6 +153,38 @@ class TestDeprovisionCutPoints:
             assert revived.records() == []
             assert revived.pool.counts()["allocated"] == 0
             assert revived.gateway.targets() == []
+            revived.close()
+
+
+class TestKeyedProvisionCutPoints:
+    def test_retry_after_every_cut_gives_one_node(self, tmp_path):
+        # the key rides on prov.begin: no commit follows the flow's own
+        total = count_commits(do_keyed_provision, tmp_path, prep_provision)
+        assert total == 11
+        for cut in range(1, total + 1):
+            revived, image = crash_and_reopen(tmp_path / f"cut{cut}", prep_provision,
+                                              do_keyed_provision, cut)
+            assert revived.verify_invariants() == [], f"cut {cut}"
+            rec = do_keyed_provision(revived, image)
+            assert [r.node for r in revived.records()] == [rec.node], f"cut {cut}"
+            assert revived.pool.counts()["allocated"] == 1, f"cut {cut}"
+            assert revived.verify_invariants() == [], f"cut {cut}"
+            revived.close()
+
+
+class TestKeyedDeprovisionCutPoints:
+    def test_retry_after_every_cut_leaves_no_node(self, tmp_path):
+        # the key rides on the deprovisioning step: no commit follows prov.end
+        total = count_commits(do_keyed_deprovision, tmp_path, prep_deprovision)
+        assert total == 7
+        for cut in range(1, total + 1):
+            revived, node = crash_and_reopen(tmp_path / f"cut{cut}", prep_deprovision,
+                                             do_keyed_deprovision, cut)
+            assert revived.verify_invariants() == [], f"cut {cut}"
+            do_keyed_deprovision(revived, node)
+            assert revived.records() == [], f"cut {cut}"
+            assert revived.pool.counts()["allocated"] == 0, f"cut {cut}"
+            assert revived.verify_invariants() == [], f"cut {cut}"
             revived.close()
 
 
@@ -312,6 +366,39 @@ def test_crashed_rollback_spares_image_holding_the_clone_name(tmp_path):
     revived.close()
 
 
+def test_crash_between_rollback_and_end_is_completed_on_open(tmp_path):
+    # the rolled_back step is durable, its prov.end is not: open ends the
+    # record, so the node can be provisioned again and a keyed retry still
+    # answers with the recorded failure
+    stack = build_stack(tmp_path / "root")
+    image = prep_provision(stack)
+
+    def fail_export(step, node):
+        if step == "export":
+            raise StorageFailure("injected at export")
+
+    def crash(seq, record):
+        if record.get("state") == "rolled_back":
+            raise SimulatedCrash("crash before prov.end")
+
+    stack.fault_hook = fail_export
+    stack.journal.commit_hook = crash
+    with pytest.raises(SimulatedCrash):
+        stack.provision(T1, image, node="node-001", idempotency_key="k1")
+    stack.images.close()
+    stack.journal.close()
+
+    revived = reopen(tmp_path)
+    assert revived.records() == []
+    assert revived.verify_invariants() == []
+    with pytest.raises(RollbackReport) as replayed:
+        revived.provision(T1, image, node="node-001", idempotency_key="k1")
+    assert replayed.value.failing_step == "export"
+    assert revived.provision(T1, image, node="node-001").node == "node-001"
+    assert revived.verify_invariants() == []
+    revived.close()
+
+
 def import_under_name(stack, image):
     """The tenant imports a new image under the name it is given."""
     return lambda name: stack.images.import_image(T1, name, b"tenant data")
@@ -371,5 +458,39 @@ def test_older_root_crashed_after_clone_create_keeps_the_clone(tmp_path):
     assert revived.pool.counts() == {"registered": 2, "free": 2, "allocated": 0}
     clone = revived.images.find_by_name(T1, "node-001-disk-1")
     assert clone is not None and clone.tenant == T1
+    assert revived.verify_invariants() == []
+    revived.close()
+
+
+def test_older_root_keyed_provision_answers_its_retry(tmp_path):
+    # written by a version that committed each keyed outcome as a separate
+    # idem.outcome record: the retry returns the same node, allocating none
+    shutil.copytree(FIXTURES / "root-keyed-provision", tmp_path / "root")
+    revived = reopen(tmp_path)
+    (live,) = revived.records()
+    before = revived.journal.commits
+    image = revived.images.find_by_name(T1, "base").id
+    assert revived.provision(T1, image, idempotency_key="k1") is live
+    assert revived.journal.commits == before
+    assert revived.pool.counts() == {"registered": 2, "free": 1, "allocated": 1}
+    assert revived.verify_invariants() == []
+    revived.close()
+
+
+def test_older_root_drops_other_outcomes(tmp_path):
+    # a deprovision's or a failed provision's outcome is not upgraded: the
+    # root opens, and a retry with such a key runs as a new request
+    shutil.copytree(FIXTURES / "root-keyed-provision", tmp_path / "root")
+    journal = Journal(tmp_path / "root" / "journal.log")
+    journal.load()
+    journal.append({"type": "idem.outcome", "op": "deprovision", "key": "d1",
+                    "ok": True, "node": "node-002"})
+    journal.append({"type": "idem.outcome", "op": "provision", "key": "k2", "ok": False,
+                    "node": "node-002",
+                    "error": {"code": "StorageFailure", "failing_step": "export"}})
+    journal.close()
+    revived = reopen(tmp_path)
+    image = revived.images.find_by_name(T1, "base").id
+    assert revived.provision(T1, image, idempotency_key="k2").node == "node-002"
     assert revived.verify_invariants() == []
     revived.close()

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 
@@ -456,6 +458,38 @@ class TestRecover:
         with pytest.raises(AccessDenied):
             stack.recover(T2, rec.node)
 
+    def test_recover_with_no_spare_keeps_the_record(self, stack):
+        # both nodes provisioned, one failed: recover finds no spare before
+        # it tears anything down, so the disk keeps its record
+        rec = self._provision_and_fail(stack)
+        stack.provision(T1, seed_image(stack, name="other", seed=1))
+        for _ in range(2):
+            with pytest.raises(PoolExhausted):
+                stack.recover(T1, rec.node)
+            kept = stack.get_record(T1, rec.node)
+            assert kept.state is ProvisionState.FAILED_NODE
+            assert kept.clone_image == rec.clone_image
+            assert stack.verify_invariants() == []
+        stack.pool.register_node("02:00:00:00:01:00")
+        new = stack.recover(T1, rec.node)
+        assert stack.gateway.target_read(new.node, new.target, 7 * BS, 12) == b"marker-bytes"
+        assert stack.verify_invariants() == []
+
+    def test_failed_teardown_releases_the_spare(self, stack, monkeypatch):
+        rec = self._provision_and_fail(stack)
+
+        def failing_detach(node):
+            raise StorageFailure("injected at detach")
+
+        monkeypatch.setattr(stack.pool, "detach_network", failing_detach)
+        with pytest.raises(StorageFailure):
+            stack.recover(T1, rec.node)
+        assert stack.pool.counts()["allocated"] == 1  # the spare went back
+        monkeypatch.undo()
+        new = stack.recover(T1, rec.node)  # resumes the kept teardown
+        assert new.clone_image == rec.clone_image
+        assert stack.verify_invariants() == []
+
 
 class TestIdempotency:
     def test_provision_replay_returns_original(self, stack):
@@ -490,6 +524,96 @@ class TestIdempotency:
         stack.deprovision(T1, rec.node, idempotency_key="del-1")  # replayed, no NotFound
         with pytest.raises(NotFound):
             stack.deprovision(T1, rec.node, idempotency_key="del-2")
+
+    def test_deprovision_key_names_one_node(self, stack):
+        image = seed_image(stack)
+        a = stack.provision(T1, image)
+        b = stack.provision(T1, image)
+        stack.deprovision(T1, a.node, idempotency_key="del")
+        before = stack.journal.commits
+        with pytest.raises(InvalidRequest):
+            stack.deprovision(T1, b.node, idempotency_key="del")
+        assert stack.journal.commits == before
+        assert [r.node for r in stack.records()] == [b.node]
+
+    def test_provision_key_names_one_image_and_node(self, stack):
+        image = seed_image(stack)
+        other = seed_image(stack, name="other", seed=1)
+        rec = stack.provision(T1, image, node="node-001", idempotency_key="k")
+        before = stack.journal.commits
+        with pytest.raises(InvalidRequest):
+            stack.provision(T1, other, idempotency_key="k")
+        with pytest.raises(InvalidRequest):
+            stack.provision(T1, image, node="node-002", idempotency_key="k")
+        assert stack.journal.commits == before
+        assert stack.provision(T1, image, idempotency_key="k") is rec
+
+    def test_provision_retry_after_snapshot_returns_the_record(self, stack):
+        image = seed_image(stack)
+        rec = stack.provision(T1, image, idempotency_key="k")
+        stack.snapshot(T1, rec.node, "snap")
+        assert stack.provision(T1, image, idempotency_key="k") is rec
+        assert len(stack.records()) == 1
+
+    def test_concurrent_retry_waits_for_the_first_call(self, stack):
+        image = seed_image(stack)
+        paused, resume = threading.Event(), threading.Event()
+
+        def hold(step, node):
+            if step == "attach":
+                paused.set()
+                assert resume.wait(10)
+
+        stack.fault_hook = hold
+        results = {}
+
+        def call(name):
+            results[name] = stack.provision(T1, image, idempotency_key="k3")
+
+        first = threading.Thread(target=call, args=("first",))
+        first.start()
+        assert paused.wait(10)
+        retry = threading.Thread(target=call, args=("retry",))
+        retry.start()
+        retry.join(0.5)
+        assert retry.is_alive()  # it waits on the key's flow lock
+        resume.set()
+        first.join(10)
+        retry.join(10)
+        assert not first.is_alive() and not retry.is_alive()
+        assert results["retry"] is results["first"]
+        assert len(stack.records()) == 1
+        assert stack.pool.counts()["allocated"] == 1
+
+    def test_racing_retries_make_one_node_per_key(self, tmp_path):
+        stack = build_stack(tmp_path / "race", nodes=4)
+        image = seed_image(stack)
+        start = threading.Barrier(6)
+
+        def call(i):
+            start.wait(10)
+            return stack.provision(T1, image, idempotency_key=f"k{i % 3}").node
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                nodes = [future.result(timeout=30)
+                         for future in [pool.submit(call, i) for i in range(6)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [len(set(nodes[k::3])) for k in range(3)] == [1, 1, 1]
+        assert len(stack.records()) == 3
+        assert stack.verify_invariants() == []
+        stack.close()
+
+    def test_keys_are_scoped_per_tenant(self, stack):
+        mine = stack.provision(T1, seed_image(stack), idempotency_key="k")
+        theirs = stack.provision(T2, seed_image(stack, T2, "b", seed=1), idempotency_key="k")
+        assert theirs.tenant == T2 and theirs.node != mine.node
+        stack.deprovision(T1, mine.node, idempotency_key="d")
+        stack.deprovision(T2, theirs.node, idempotency_key="d")
+        assert stack.records() == []
 
 
 class TestQueries:
