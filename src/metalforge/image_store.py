@@ -10,6 +10,11 @@ Writability rule: an image accepts writes while it is a golden or clone
 with no children. Growing a child freezes the parent, which is what keeps
 clone read-through stable.
 
+A snapshot of a writable clone is a new image in one ``image.snapshot``
+commit: the clone copies up its ancestors' blocks, hands that layer to the
+snapshot and goes on over it, keeping its id, name and exporter, with an
+empty layer whose file carries the snapshot's id.
+
 Each ``ImageRecord`` owns its layer file and its resolution chain. Every
 golden image that arrives with data (an import or a deep copy) takes one
 new-layer path, ``_new_golden``: reserve an id, store the non-zero blocks,
@@ -89,7 +94,7 @@ class ImageRecord:
     # guards this image's block data; lives and dies with the record
     lock: RWLock = field(default_factory=RWLock, repr=False, compare=False)
     layer: "BlockFile" = field(default=None, repr=False, compare=False)
-    # resolution chain: this record, then its ancestors; a flatten replaces it
+    # resolution chain: this record, then its ancestors; a flatten or snapshot replaces it
     chain: tuple = field(default=(), repr=False, compare=False)
 
     @property
@@ -115,8 +120,8 @@ class ImageRecord:
 class CopyStats:
     """Point-in-time snapshot of data-movement instrumentation.
 
-    ``blocks_copied`` counts whole blocks duplicated by flatten/deep-copy;
-    clone creation must never move any.
+    ``blocks_copied`` counts blocks that flatten, snapshot or deep copy
+    duplicate; clone creation must never move any.
     """
 
     blocks_copied: int = 0
@@ -254,9 +259,8 @@ class ImageStore:
     ``_pinned``, descendant-first and never while holding the stack lock:
     the head image's lock, then its ancestors' read locks, then a check that
     the head is live and ``head.chain`` is still the tuple it locked (a
-    flatten that cut the chain first replaced it; the pin then locks anew).
-    The gateway's fence holds a disk's write lock across a snapshot, whose
-    flatten and clone of that disk take it again.
+    flatten or snapshot that changed the chain first replaced it; the pin then
+    locks anew). No pin is taken while the same thread holds another.
     """
 
     def __init__(self, root: Path | str, journal: Journal, config: StoreConfig | None = None):
@@ -318,6 +322,17 @@ class ImageStore:
             for other in self._images.values():
                 if len(other.chain) >= depth and other.chain[-depth] is rec:
                     other.chain = other.chain[:len(other.chain) - depth + 1]
+        elif op == "image.snapshot":  # the disk has no children: only its chain changes
+            disk = self._images[record["id"]]
+            self.apply({**self._create_record(record["snapshot"], disk.tenant, record["name"],
+                                              ImageKind.SNAPSHOT, None, disk.virtual_size),
+                        "block_size": disk.block_size, "created_at": record["created_at"]})
+            snap = self._images[record["snapshot"]]
+            snap.layer, disk.layer = disk.layer, snap.layer
+            snap.child_count = 1
+            self._images[disk.parent].child_count -= 1
+            disk.parent = snap.id
+            disk.chain = (disk, snap)
         elif op == "image.rename":
             rec = self._images[record["id"]]
             self._by_name.pop((rec.tenant, rec.name), None)
@@ -498,18 +513,32 @@ class ImageStore:
         """Materialize every ancestor-resolvable block locally, sever the
         parent link and become a snapshot. Returns blocks copied."""
         rec = self.get(image_id)
-        copied = 0
         with self._pinned(rec, write=True) as chain:
             if rec.kind is not ImageKind.CLONE:
                 raise NotAClone(f"image {image_id} is kind={rec.kind.value}")
-            rec.layer.open()
-            for index, payload in self._resolved_blocks(chain[1:], skip=rec.layer.indices):
-                rec.layer.write_block(index, payload)
-                copied += 1
+            copied = self._copy_up(rec, chain)
             with self.journal.lock:
                 self.journal.commit({"type": "image.flatten", "id": image_id})
         self._bump(blocks_copied=copied, flatten_ops=1)
         return copied
+
+    def snapshot(self, tenant: str, image_id: str, name: str) -> str:
+        """Freeze a writable clone's bytes as a new snapshot image ``name``;
+        returns its id. Guest I/O on the clone waits for the copy-up and the
+        commit; a failure before the commit leaves the clone as it was."""
+        rec = self.check_owned(tenant, image_id)
+        self._require_name_free(tenant, name)
+        with self._pinned(rec, write=True) as chain:
+            if rec.kind is not ImageKind.CLONE or not rec.writable:
+                raise NotAClone(f"image {image_id} is not a writable clone")
+            copied = self._copy_up(rec, chain)
+            with self.journal.lock:
+                self._require_name_free(tenant, name)
+                snap_id = self._next_id()
+                self.journal.commit({"type": "image.snapshot", "id": image_id, "snapshot": snap_id,
+                                     "name": name, "created_at": time.time()})
+        self._bump(blocks_copied=copied, flatten_ops=1)
+        return snap_id
 
     def deep_copy(self, tenant: str, source_id: str, name: str) -> str:
         """Fully independent golden duplicate of the source's resolved view."""
@@ -567,8 +596,8 @@ class ImageStore:
         if not blocks_dir.is_dir():
             return []
         with self.journal.lock:
-            live = set(self._images)
-        return sorted(p for p in blocks_dir.glob("*.sparse") if p.stem not in live)
+            live = {rec.layer.path for rec in self._images.values()}
+        return sorted(p for p in blocks_dir.glob("*.sparse") if p not in live)
 
     def cleanup_orphan_layers(self) -> int:
         """Remove block files left behind by imports or copies that never
@@ -649,8 +678,8 @@ class ImageStore:
     @contextmanager
     def _pinned(self, rec: ImageRecord, write: bool = False):
         """Hold ``rec``'s lock (exclusive if ``write``) and its ancestors'
-        read locks, and yield its chain; NotFound once ``rec`` is gone. If a
-        flatten cut the chain before the locks were all held, lock anew."""
+        read locks, and yield its chain; NotFound once ``rec`` is gone. If
+        its chain changed before the locks were all held, lock anew."""
         while True:
             chain = rec.chain
             (rec.lock.acquire_write if write else rec.lock.acquire_read)()
@@ -661,12 +690,22 @@ class ImageStore:
                     held.append(ancestor.lock.release_read)
                 if self.get(rec.id) is not rec:  # get raises NotFound once rec is deleted
                     raise NotFound(f"image {rec.id} does not exist")
-                if rec.chain is chain:  # only a flatten of a held image could change it
+                if rec.chain is chain:  # only a flatten or snapshot of a held image changes it
                     yield chain
                     return
             finally:
                 for release in reversed(held):
                     release()
+
+    def _copy_up(self, rec: ImageRecord, chain) -> int:
+        """Copy into ``rec``'s own layer every block it reads from an
+        ancestor in its pinned ``chain``; returns the number copied."""
+        copied = 0
+        rec.layer.open()
+        for index, payload in self._resolved_blocks(chain[1:], skip=rec.layer.indices):
+            rec.layer.write_block(index, payload)
+            copied += 1
+        return copied
 
     def _resolve_block(self, chain, index: int) -> bytes | None:
         for rec in chain:

@@ -10,9 +10,10 @@ rows through ``_stand_up``; deprovision, the first half of recovery, a
 failed stand-up and crash recovery run every undo, last row first, through
 ``_teardown``. A crash is therefore always resolved on restart the same
 way: half-done stand-ups are rolled back, half-done deprovisions are
-completed, and the global state stays orphan-free. Snapshot is
-straight-line code under the disk's fence, outside the table. A retried
-provision or deprovision is answered from the records of the flow its key names.
+completed, and the global state stays orphan-free. Snapshot is one
+image-store commit outside the table; the node keeps its disk, target and
+record. A retried provision or deprovision is answered from the records of
+the flow its key names.
 """
 
 import json
@@ -26,7 +27,6 @@ from pathlib import Path
 
 from .errors import (
     AccessDenied,
-    DuplicateName,
     HasChildren,
     ImageInUse,
     MetalforgeError,
@@ -228,13 +228,15 @@ class Orchestrator:
                     setattr(rec, name, record[name])
             if "key" in record:
                 self._keyed[(rec.tenant, "deprovision", record["key"])] = (rec.node, rec)
-        elif op == "prov.update":
+        elif op == "prov.update":  # older roots: a snapshot moved the node to a fresh clone
             rec = self._records[record["node"]]
             rec.clone_image = record["clone_image"]
             rec.source_image = record["source_image"]
         elif op == "prov.end":
             rec = self._records.pop(record["node"])
             self._check_edge(rec.state.value, REMOVED)
+            if "key" in record:  # a keyed call that resumed a teardown
+                self._keyed[(rec.tenant, "deprovision", record["key"])] = (rec.node, rec)
         elif op == "idem.outcome":  # older roots: only a provision's success is kept
             if record["op"] == "provision" and record["ok"]:  # its record is live
                 rec = self._records[record["node"]]
@@ -312,33 +314,11 @@ class Orchestrator:
             self._teardown(prior, keep_image, key=idempotency_key)
 
     def snapshot(self, tenant: str, node: str, snapshot_name: str) -> str:
-        """Freeze the node's disk as an immutable named image.
-
-        The live clone is renamed and flattened in place (one flatten, no
-        other data movement) and the node continues on a fresh linked clone
-        that takes the name the rename freed, behind the same target name, so
-        its visible bytes never change.
-        """
-        with self._workers:
-            with self._node_lock(node):
-                rec = self._owned_record(tenant, node)
-                old_clone = rec.clone_image
-                fresh_name = self.images.get(old_clone).name
-                if snapshot_name == fresh_name:  # the rename would be a no-op
-                    raise DuplicateName(
-                        f"tenant {tenant} already has an image named {snapshot_name!r}")
-                with self.gateway.fence(rec.target):
-                    self.images.rename_image(tenant, old_clone, snapshot_name)
-                    try:
-                        self.images.flatten(old_clone)
-                    except MetalforgeError:  # the disk is still live: give its name back
-                        self.images.rename_image(tenant, old_clone, fresh_name)
-                        raise
-                    fresh = self.images.linked_clone(tenant, old_clone, fresh_name)
-                    self.gateway.rebind_target(tenant, rec.target, fresh)
-                self.journal.commit({"type": "prov.update", "node": node, "seq": rec.seq,
-                                     "clone_image": fresh, "source_image": old_clone})
-                return old_clone
+        """Freeze the node's disk as a new immutable image; returns its id.
+        The node keeps its disk, target and record (``ImageStore.snapshot``)."""
+        with self._workers, self._node_lock(node):
+            rec = self._owned_record(tenant, node)
+            return self.images.snapshot(tenant, rec.clone_image, snapshot_name)
 
     def recover(self, tenant: str, failed_node: str, new_node: str | None = None) -> ProvisionRecord:
         """Re-export a failed node's disk to a replacement node.
@@ -551,18 +531,21 @@ class Orchestrator:
 
         ``keep_image`` deprovisions a live record first, under ``key``; a
         record already deprovisioning (a teardown that failed) resumes with
-        the ``keep_image`` it recorded. An in-flight record (a stand-up that
-        failed or crashed) commits ROLLED_BACK with ``error`` first, and keeps
-        its clone iff its begin record did not own it.
+        the ``keep_image`` it recorded, ``key`` riding on ``prov.end``. An
+        in-flight record (a stand-up that failed or crashed) commits
+        ROLLED_BACK with ``error`` first, and keeps its clone iff its begin
+        record did not own it.
         """
         if keep_image is not None and rec.state is not ProvisionState.DEPROVISIONING:
             self._step(rec, ProvisionState.DEPROVISIONING, keep_image=keep_image, key=key)
+            key = None  # recorded on that step
         for _, _, undo in reversed(STEPS):
             getattr(self, f"_{undo}")(rec)
         self.pool.release_node(rec.node)
         if rec.state in _IN_FLIGHT:
             self._step(rec, ProvisionState.ROLLED_BACK, error=error)
-        self.journal.commit({"type": "prov.end", "node": rec.node, "seq": rec.seq})
+        end = {"type": "prov.end", "node": rec.node, "seq": rec.seq, "key": key}
+        self.journal.commit({name: v for name, v in end.items() if v is not None})
 
     def _detach(self, rec: ProvisionRecord) -> None:
         self.pool.detach_network(rec.node)

@@ -6,15 +6,13 @@ from contextlib import contextmanager
 
 class RWLock:
     """Reader-writer lock; writers are preferred so a steady stream of
-    readers cannot starve an exclusive operation. The write lock is
-    reentrant: its holder may take it again, and each acquire needs its own
-    release. The read lock is not, and a writer that asks for it deadlocks."""
+    readers cannot starve an exclusive operation. Neither side is
+    reentrant: a holder that asks for the lock again deadlocks."""
 
     def __init__(self):
         self._cond = threading.Condition()
         self._readers = 0
-        self._writer = 0  # the holder's thread id (never 0), or 0
-        self._depth = 0
+        self._writer = False
         self._writers_waiting = 0
 
     def acquire_read(self) -> None:
@@ -30,23 +28,19 @@ class RWLock:
                 self._cond.notify_all()
 
     def acquire_write(self) -> None:
-        me = threading.get_ident()
         with self._cond:
             self._writers_waiting += 1
             try:
-                while self._writer not in (0, me) or self._readers:
+                while self._writer or self._readers:
                     self._cond.wait()
             finally:
                 self._writers_waiting -= 1
-            self._writer = me
-            self._depth += 1
+            self._writer = True
 
     def release_write(self) -> None:
         with self._cond:
-            self._depth -= 1
-            if self._depth == 0:
-                self._writer = 0
-                self._cond.notify_all()
+            self._writer = False
+            self._cond.notify_all()
 
     @contextmanager
     def read_locked(self):

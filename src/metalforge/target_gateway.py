@@ -7,7 +7,8 @@ lengths exactly; denied requests change nothing.
 
 Every target is a read-write export of one writable image to the initiators
 it names, so an image has at most one target; the image record names it in
-``exporter``, which ``apply`` keeps in step with the target table.
+``exporter``, which ``apply`` keeps in step with the target table. No flow
+changes a target's image, so the data path reads the binding once.
 
 Transport is an in-process loopback carrying the binary wire format below,
 so the simulator's "network" boundary is bit-exact without real block
@@ -23,7 +24,6 @@ Wire format, all integers big-endian:
 
 import struct
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -139,7 +139,7 @@ class TargetGateway:
         ``_check_exportable`` for which images may be exported."""
         with self.journal.lock:
             self._check_exportable(tenant, image_id)
-            # a snapshot's rebound target keeps the name of the disk it froze
+            # a rebound target keeps the name of the image it was made for
             name = f"iqn.{self.config.naming_date}.{self.config.authority}:{tenant}:{image_id}"
             if name in self._targets:
                 raise AlreadyExported(f"target name {name} is live")
@@ -165,9 +165,9 @@ class TargetGateway:
 
     def rebind_target(self, tenant: str, name: str, image_id: str) -> None:
         """Swap the backing image under a live target, preserving its name
-        and counters. Used by snapshot, which must keep the endpoint stable
-        while the node moves onto a fresh clone. The image must be
-        exportable (``_check_exportable``)."""
+        and counters. The image must be exportable (``_check_exportable``).
+        No flow calls it since snapshots stopped moving the node onto a
+        fresh clone; ``perfbench/layer_trace.py`` still wraps it by name."""
         with self.journal.lock:
             self._check_exportable(tenant, image_id)
             rec = self._targets.get(name)
@@ -196,16 +196,6 @@ class TargetGateway:
         with self.journal.lock:
             return self.get(name).counters.copy()
 
-    @contextmanager
-    def fence(self, name: str):
-        """Hold off all I/O on one target; used around backing-image swaps.
-
-        The fence holds the write lock of the image the target exports; its
-        holder may take that lock again to flatten or clone the image.
-        """
-        with self.store.get(self.get(name).image).lock.write_locked():
-            yield
-
     # -- data path -----------------------------------------------------------
 
     def target_read(self, initiator: str, name: str, offset: int, length: int) -> bytes:
@@ -220,14 +210,7 @@ class TargetGateway:
     def target_write(self, initiator: str, name: str, offset: int, data: bytes) -> None:
         rec = self._live(name)
         self._authorize(initiator, rec)
-        while True:  # the binding is read before the image lock is held
-            image = rec.image
-            try:
-                self.store.write_range(image, offset, data)
-                break
-            except ImmutableImage:  # a snapshot froze it and rebound the target
-                if rec.image == image:
-                    raise
+        self.store.write_range(rec.image, offset, data)
         with self.journal.lock:
             rec.counters.bytes_written += len(data)
             rec.counters.write_ops += 1

@@ -132,15 +132,15 @@ class TestOutput:
               "node-002  mac=02:00:00:00:00:01  free  health=ok  tenant=-\n"
               "node-003  mac=02:00:00:00:00:02  free  health=ok  tenant=-\n")
         check([*t1, "traffic", "node-001"], "read=0B/0ops write=0B/0ops\n")
-        check([*t1, "snapshot", "node-001", "cp"], "snapshot image img-000003\n")
+        check([*t1, "snapshot", "node-001", "cp"], "snapshot image img-000004\n")
         check([*t1, "provisions"],
-              f"node-001  state=ready  clone=img-000004 target={target}3\n")
+              f"node-001  state=ready  clone=img-000003 target={target}3\n")
         svc = Orchestrator.open(root)
         svc.note_node_failed("node-001")
         svc.close()
         check([*t1, "recover", "node-001"], "recovered onto node-002 state=ready\n")
         check([*t1, "provisions"],
-              f"node-002  state=ready  clone=img-000004 target={target}4\n")
+              f"node-002  state=ready  clone=img-000003 target={target}3\n")
         check([*t1, "deprovision", "node-002", "--keep-image"], "deprovisioned node-002\n")
         check([*t1, "provisions"], "")
 

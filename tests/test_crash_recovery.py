@@ -10,6 +10,7 @@ import pytest
 
 from conftest import SMALL_BLOCKS, build_stack
 from metalforge.errors import RollbackReport, StorageFailure
+from metalforge.image_store import ImageKind
 from metalforge.journal import Journal, SimulatedCrash
 from metalforge.orchestrator import Orchestrator, ProvisionState, StackConfig
 
@@ -70,6 +71,17 @@ def do_keyed_provision(stack, image):
 
 def do_keyed_deprovision(stack, node):
     stack.deprovision(T1, node, idempotency_key="d1")
+
+
+def prep_snapshot(stack):
+    rec = stack.provision(T1, prep_provision(stack), node="node-001")
+    stack.gateway.target_write(rec.node, rec.target, BS, b"before")
+    return rec, stack.images.read_range(rec.clone_image, 0, 8 * BS)
+
+
+def do_snapshot(stack, context):
+    rec, _ = context
+    stack.snapshot(T1, rec.node, "snap")
 
 
 def crash_and_reopen(root, prep, action, cut):
@@ -184,6 +196,47 @@ class TestKeyedDeprovisionCutPoints:
             do_keyed_deprovision(revived, node)
             assert revived.records() == [], f"cut {cut}"
             assert revived.pool.counts()["allocated"] == 0, f"cut {cut}"
+            assert revived.verify_invariants() == [], f"cut {cut}"
+            revived.close()
+
+
+class TestSnapshotCutPoints:
+    def reopened(self, tmp_path, cut):
+        """Crash a snapshot after its ``cut``-th commit, or for cut 0 right
+        after its copy-up, before it commits, and reopen the root."""
+        if cut:
+            return crash_and_reopen(tmp_path / f"cut{cut}", prep_snapshot, do_snapshot, cut)
+
+        def copy_up_then_crash(stack, context):
+            real = stack.images._copy_up
+
+            def crash(rec, chain):
+                real(rec, chain)
+                raise SimulatedCrash("crash before the snapshot commits")
+
+            stack.images._copy_up = crash
+            do_snapshot(stack, context)
+        return crash_and_reopen(tmp_path / "cut0", prep_snapshot, copy_up_then_crash, 0)
+
+    def test_every_cut_reopens_to_the_old_or_the_new_state(self, tmp_path):
+        total = count_commits(do_snapshot, tmp_path, prep_snapshot)
+        assert total == 1
+        for cut in range(total + 1):
+            revived, (rec, before) = self.reopened(tmp_path, cut)
+            assert revived.verify_invariants() == [], f"cut {cut}"
+            live = revived.get_record(T1, rec.node)
+            assert (live.clone_image, live.target) == (rec.clone_image, rec.target)
+            disk = revived.images.get(rec.clone_image)
+            assert disk.name == "node-001-disk-1" and disk.writable, f"cut {cut}"
+            snap = revived.images.find_by_name(T1, "snap")
+            assert (snap is None) == (cut == 0), f"cut {cut}"
+            if snap is not None:
+                assert snap.kind is ImageKind.SNAPSHOT and disk.parent == snap.id
+            assert revived.images.read_range(disk.id, 0, 8 * BS) == before, f"cut {cut}"
+            revived.gateway.target_write(rec.node, rec.target, BS, b"after!")
+            assert revived.gateway.target_read(rec.node, rec.target, BS, 6) == b"after!"
+            if snap is not None:
+                assert revived.images.read_range(snap.id, 0, 8 * BS) == before, f"cut {cut}"
             assert revived.verify_invariants() == [], f"cut {cut}"
             revived.close()
 
@@ -492,5 +545,33 @@ def test_older_root_drops_other_outcomes(tmp_path):
     revived = reopen(tmp_path)
     image = revived.images.find_by_name(T1, "base").id
     assert revived.provision(T1, image, idempotency_key="k2").node == "node-002"
+    assert revived.verify_invariants() == []
+    revived.close()
+
+
+def test_older_root_with_a_finished_snapshot_snapshots_again(tmp_path):
+    # written by a version whose snapshot renamed and flattened the disk and
+    # moved the node onto a fresh clone under the disk's name, rebinding the
+    # target: both images keep their bytes, and a new snapshot keeps the disk
+    shutil.copytree(FIXTURES / "root-snapshotted", tmp_path / "root")
+    revived = reopen(tmp_path)
+    assert revived.verify_invariants() == []
+    (rec,) = revived.records()
+    first = revived.images.find_by_name(T1, "snap")
+    disk = revived.images.get(rec.clone_image)
+    assert disk.name == "node-001-disk-1" and disk.parent == first.id
+    base = random.Random(0).randbytes(2 * BS)
+    frozen = b"before snapshot" + base[15:]
+    assert revived.images.read_range(first.id, 0, 2 * BS) == frozen
+    live = frozen[:BS] + b"after snapshot" + base[BS + 14:]
+    assert revived.gateway.target_read(rec.node, rec.target, 0, 2 * BS) == live
+    second = revived.snapshot(T1, rec.node, "snap2")
+    assert revived.get_record(T1, rec.node).clone_image == disk.id
+    assert revived.images.read_range(second, 0, 2 * BS) == live
+    assert revived.verify_invariants() == []
+    revived.deprovision(T1, rec.node)
+    assert not revived.images.exists(disk.id)
+    assert revived.images.read_range(first.id, 0, 2 * BS) == frozen
+    assert revived.images.read_range(second, 0, 2 * BS) == live
     assert revived.verify_invariants() == []
     revived.close()

@@ -19,7 +19,7 @@ from metalforge.errors import (
     StorageFailure,
 )
 from metalforge.image_store import ImageKind
-from metalforge.journal import Journal, SimulatedCrash
+from metalforge.journal import Journal
 from metalforge.orchestrator import STATE_EDGES, Orchestrator, ProvisionState, StackConfig
 
 BS = 4096
@@ -298,8 +298,9 @@ class TestSnapshot:
 
         snap = stack.snapshot(T1, rec.node, "checkpoint-1")
         rec2 = stack.get_record(T1, rec.node)
-        assert rec2.clone_image != old_clone
+        assert rec2.clone_image == old_clone  # the node keeps its disk
         assert rec2.target == old_target  # same endpoint
+        assert stack.gateway.get(old_target).image == old_clone
         assert stack.images.get(snap).kind is ImageKind.SNAPSHOT
         assert stack.images.get(snap).name == "checkpoint-1"
         # node sees identical bytes through the same target
@@ -381,25 +382,61 @@ class TestSnapshot:
         assert stack.images.get(rec.clone_image).kind is ImageKind.CLONE
         assert stack.verify_invariants() == []
 
-    def test_failed_flatten_gives_the_disk_its_name_back(self, stack, monkeypatch):
+    def test_failed_copy_up_leaves_the_disk_live(self, stack, monkeypatch):
         rec = stack.provision(T1, seed_image(stack))
         disk = stack.images.get(rec.clone_image).name
+        before = stack.journal.commits
 
-        def failing_flatten(image_id):
-            raise StorageFailure("flatten failed")
+        def failing_copy_up(image, chain):
+            raise StorageFailure("copy-up failed")
 
         with monkeypatch.context() as patch:
-            patch.setattr(stack.images, "flatten", failing_flatten)
+            patch.setattr(stack.images, "_copy_up", failing_copy_up)
             with pytest.raises(StorageFailure):
                 stack.snapshot(T1, rec.node, "snap")
+        assert stack.journal.commits == before
         assert stack.images.get(rec.clone_image).name == disk
         assert stack.images.get(rec.clone_image).kind is ImageKind.CLONE
+        assert stack.images.find_by_name(T1, "snap") is None
         stack.gateway.target_write(rec.node, rec.target, 0, b"still-live")
         assert stack.verify_invariants() == []
 
         snap = stack.snapshot(T1, rec.node, "snap")  # a retry under the name succeeds
         assert stack.images.get(snap).name == "snap"
         assert stack.images.read_range(snap, 0, 10) == b"still-live"
+        assert stack.verify_invariants() == []
+
+    @pytest.mark.parametrize("copy_fails", [False, True])
+    def test_import_under_the_disk_name_mid_snapshot_is_refused(self, stack, copy_fails):
+        # while the snapshot holds the disk and copies its blocks up, the
+        # tenant tries to import an image under the disk's name; the copy
+        # then goes on, or fails
+        rec = stack.provision(T1, seed_image(stack), node="node-001")
+        stack.gateway.target_write(rec.node, rec.target, 0, b"pre-snapshot")
+        real = stack.images._resolved_blocks
+        tried = []
+
+        def squat(chain, skip=()):
+            try:
+                tried.append(seed_image(stack, name="node-001-disk-1", blocks=1, seed=1))
+            except DuplicateName as exc:
+                tried.append(exc)
+            if copy_fails:
+                raise StorageFailure("copy failed")
+            return real(chain, skip)
+
+        stack.images._resolved_blocks = squat
+        if copy_fails:
+            with pytest.raises(StorageFailure):
+                stack.snapshot(T1, rec.node, "snap")
+        else:
+            snap = stack.snapshot(T1, rec.node, "snap")
+        assert [type(outcome) for outcome in tried] == [DuplicateName]
+        assert stack.images.get(rec.clone_image).name == "node-001-disk-1"
+        assert (stack.images.find_by_name(T1, "snap") is None) == copy_fails
+        stack.gateway.target_write(rec.node, rec.target, 0, b"post-snapshot")
+        if not copy_fails:
+            assert stack.images.read_range(snap, 0, 12) == b"pre-snapshot"
         assert stack.verify_invariants() == []
 
     def test_duplicate_snapshot_name(self, stack):
@@ -524,6 +561,31 @@ class TestIdempotency:
         stack.deprovision(T1, rec.node, idempotency_key="del-1")  # replayed, no NotFound
         with pytest.raises(NotFound):
             stack.deprovision(T1, rec.node, idempotency_key="del-2")
+
+    def test_keyed_call_that_resumes_a_teardown_keeps_its_key(self, tmp_path, monkeypatch):
+        # the unkeyed first call wrote the deprovisioning step, so the key
+        # that finishes the teardown rides on prov.end, across a reopen too
+        stack = build_stack(tmp_path / "r")
+        rec = stack.provision(T1, seed_image(stack))
+
+        def failing_detach(node):
+            raise StorageFailure("injected at detach")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stack.pool, "detach_network", failing_detach)
+            with pytest.raises(StorageFailure):
+                stack.deprovision(T1, rec.node)
+        stack.deprovision(T1, rec.node, idempotency_key="d")
+        before = stack.journal.commits
+        stack.deprovision(T1, rec.node, idempotency_key="d")
+        assert stack.journal.commits == before
+        stack.close()
+        stack = Orchestrator.open(tmp_path / "r", StackConfig(store=SMALL_BLOCKS))
+        stack.deprovision(T1, rec.node, idempotency_key="d")
+        with pytest.raises(InvalidRequest):  # the key names that node's teardown
+            stack.deprovision(T1, "node-002", idempotency_key="d")
+        assert stack.verify_invariants() == []
+        stack.close()
 
     def test_deprovision_key_names_one_node(self, stack):
         image = seed_image(stack)
@@ -676,14 +738,7 @@ def test_boot_configuration_without_provision_record_is_reported(stack):
 def test_read_write_target_on_a_frozen_disk_is_reported(tmp_path):
     stack = build_stack(tmp_path / "r")
     rec = stack.provision(T1, seed_image(stack))
-
-    def crash_after_flatten(seq, record):
-        if record["type"] == "image.flatten":
-            raise SimulatedCrash("after image.flatten")
-
-    stack.journal.commit_hook = crash_after_flatten
-    with pytest.raises(SimulatedCrash):
-        stack.snapshot(T1, rec.node, "snap")  # freezes the live disk, then dies
+    stack.images.flatten(rec.clone_image)  # the store lets a live disk freeze
     stack.close()
     stack = Orchestrator.open(tmp_path / "r", StackConfig(store=SMALL_BLOCKS))
     assert stack.verify_invariants() == [

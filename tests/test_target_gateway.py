@@ -298,57 +298,21 @@ class TestConcurrency:
         assert counters.read_ops == workers * rounds + 1
         assert counters.bytes_read == workers * rounds * span + BS
 
-    def test_fence_blocks_io(self, rig):
-        stack, image, node, target = rig
-        release = threading.Event()
-        entered = threading.Event()
-        results = []
-
-        def fenced():
-            with stack.gateway.fence(target):
-                entered.set()
-                release.wait(timeout=5)
-
-        def reader():
-            entered.wait(timeout=5)
-            results.append(stack.gateway.target_read(node, target, 0, 4))
-
-        def writer():
-            entered.wait(timeout=5)
-            stack.gateway.target_write(node, target, 0, b"late")
-            results.append("written")
-
-        holder = threading.Thread(target=fenced)
-        probes = [threading.Thread(target=reader), threading.Thread(target=writer)]
-        holder.start()
-        for probe in probes:
-            probe.start()
-        entered.wait(timeout=5)
-        for probe in probes:
-            probe.join(timeout=0.2)  # give each probe time to reach the fence
-        assert results == []  # reader and writer are blocked behind the fence
-        release.set()
-        holder.join(timeout=5)
-        for probe in probes:
-            probe.join(timeout=5)
-        assert len(results) == 2
-        assert stack.gateway.target_read(node, target, 0, 4) == b"late"
-
-    def test_write_waiting_behind_a_snapshot_lands_on_the_fresh_clone(self, stack):
-        # the write reads the target's binding before the fence lets it
-        # in, so it wakes on the frozen disk and must retry on the new one
+    def test_write_waiting_behind_a_snapshot_lands_on_the_disk(self, stack):
+        # the snapshot holds the disk's write lock across its copy-up and
+        # commit; a write queued behind it lands on the disk, not the snapshot
         image = stack.images.import_image(TENANT, "base", bytes(16 * BS))
         rec = stack.provision(TENANT, image)
         stack.gateway.target_write(rec.node, rec.target, 0, b"old!")
-        real_flatten = stack.images.flatten
+        real_copy_up = stack.images._copy_up
         inside, leave = threading.Event(), threading.Event()
 
-        def paused(image_id):
-            inside.set()  # the snapshot holds the fence from here on
+        def paused(image, chain):
+            inside.set()  # the snapshot holds the disk from here on
             leave.wait(timeout=5)
-            return real_flatten(image_id)
+            return real_copy_up(image, chain)
 
-        stack.images.flatten = paused
+        stack.images._copy_up = paused
         snaps, errors = [], []
         snapper = threading.Thread(
             target=lambda: snaps.append(stack.snapshot(TENANT, rec.node, "cp")))
@@ -364,20 +328,20 @@ class TestConcurrency:
         writer = threading.Thread(target=write)
         writer.start()
         writer.join(timeout=0.3)
-        assert writer.is_alive()  # held off by the fence
+        assert writer.is_alive()  # held off by the snapshot
         leave.set()
         snapper.join(timeout=5)
         writer.join(timeout=5)
         assert not snapper.is_alive() and not writer.is_alive()
         assert errors == []
-        fresh = stack.get_record(TENANT, rec.node).clone_image
-        assert stack.images.read_range(fresh, 0, 4) == b"new!"
+        assert stack.gateway.get(rec.target).image == rec.clone_image
+        assert stack.images.read_range(rec.clone_image, 0, 4) == b"new!"
         assert stack.images.read_range(snaps[0], 0, 4) == b"old!"
         assert stack.verify_invariants() == []
 
     def test_writers_racing_snapshots_lose_nothing(self, stack):
         # writers keep writing until every snapshot is done, so some of them
-        # queue behind a fence and must retry on the fresh clone
+        # queue behind a snapshot's hold on the disk
         image = stack.images.import_image(TENANT, "base", bytes(16 * BS))
         rec = stack.provision(TENANT, image)
         workers, span = 4, 16
