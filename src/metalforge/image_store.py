@@ -7,8 +7,8 @@ through the shared append-only journal; block payloads live in one sparse
 container file per image layer under ``<root>/blocks/``.
 
 Writability rule: an image accepts writes while it is a golden or clone
-with no children. Growing a child freezes the parent, which is what keeps
-clone read-through stable.
+with no children. An image with children is never written, flattened,
+snapshotted or deleted, so a clone reads through it without locking it.
 
 A snapshot of a writable clone is a new image in one ``image.snapshot``
 commit: the clone copies up its ancestors' blocks, hands that layer to the
@@ -94,7 +94,7 @@ class ImageRecord:
     # guards this image's block data; lives and dies with the record
     lock: RWLock = field(default_factory=RWLock, repr=False, compare=False)
     layer: "BlockFile" = field(default=None, repr=False, compare=False)
-    # resolution chain: this record, then its ancestors; a flatten or snapshot replaces it
+    # resolution chain: this record, then its ancestors; changed only under its write lock
     chain: tuple = field(default=(), repr=False, compare=False)
 
     @property
@@ -256,11 +256,11 @@ class ImageStore:
     depends on it; block data by the reader/writer lock on each
     ``ImageRecord``, so reads run concurrently and operations on distinct
     images in parallel. The store takes image locks only through
-    ``_pinned``, descendant-first and never while holding the stack lock:
-    the head image's lock, then its ancestors' read locks, then a check that
-    the head is live and ``head.chain`` is still the tuple it locked (a
-    flatten or snapshot that changed the chain first replaced it; the pin then
-    locks anew). No pin is taken while the same thread holds another.
+    ``_pinned``, never while holding the stack lock, and a pin locks only
+    the image it names: its ancestors have children, so nothing writes,
+    flattens, snapshots or deletes them, and only an operation on the
+    image itself, holding its write lock, changes its chain. No pin is
+    taken while the same thread holds another.
     """
 
     def __init__(self, root: Path | str, journal: Journal, config: StoreConfig | None = None):
@@ -317,7 +317,7 @@ class ImageStore:
                 self._images[rec.parent].child_count -= 1
             rec.parent = None
             rec.kind = ImageKind.SNAPSHOT
-            # cut every chain through rec (its own included) just after rec
+            # cut every chain through rec just after rec: older roots flatten parents too
             depth = len(rec.chain)
             for other in self._images.values():
                 if len(other.chain) >= depth and other.chain[-depth] is rec:
@@ -511,13 +511,16 @@ class ImageStore:
 
     def flatten(self, image_id: str) -> int:
         """Materialize every ancestor-resolvable block locally, sever the
-        parent link and become a snapshot. Returns blocks copied."""
+        parent link and become a snapshot. Returns blocks copied. Only a
+        writable clone qualifies (NotAClone), and not a live disk (ImageInUse)."""
         rec = self.get(image_id)
         with self._pinned(rec, write=True) as chain:
-            if rec.kind is not ImageKind.CLONE:
-                raise NotAClone(f"image {image_id} is kind={rec.kind.value}")
+            if rec.kind is not ImageKind.CLONE or not rec.writable:
+                raise NotAClone(f"image {image_id} is not a writable clone")
             copied = self._copy_up(rec, chain)
             with self.journal.lock:
+                if rec.exporter is not None:  # create_target takes no image lock
+                    raise ImageInUse(f"image {image_id} is the live disk of {rec.exporter}")
                 self.journal.commit({"type": "image.flatten", "id": image_id})
         self._bump(blocks_copied=copied, flatten_ops=1)
         return copied
@@ -677,25 +680,16 @@ class ImageStore:
 
     @contextmanager
     def _pinned(self, rec: ImageRecord, write: bool = False):
-        """Hold ``rec``'s lock (exclusive if ``write``) and its ancestors'
-        read locks, and yield its chain; NotFound once ``rec`` is gone. If
-        its chain changed before the locks were all held, lock anew."""
-        while True:
-            chain = rec.chain
-            (rec.lock.acquire_write if write else rec.lock.acquire_read)()
-            held = [rec.lock.release_write if write else rec.lock.release_read]
+        """Hold ``rec``'s lock (exclusive if ``write``) and yield its chain;
+        NotFound once ``rec`` is gone. The ancestors need no lock: an image
+        with children never changes. A file error inside is a StorageFailure."""
+        with rec.lock.write_locked() if write else rec.lock.read_locked():
+            if not rec.chain:  # the delete apply empties it
+                raise NotFound(f"image {rec.id} does not exist")
             try:
-                for ancestor in chain[1:]:
-                    ancestor.lock.acquire_read()
-                    held.append(ancestor.lock.release_read)
-                if self.get(rec.id) is not rec:  # get raises NotFound once rec is deleted
-                    raise NotFound(f"image {rec.id} does not exist")
-                if rec.chain is chain:  # only a flatten or snapshot of a held image changes it
-                    yield chain
-                    return
-            finally:
-                for release in reversed(held):
-                    release()
+                yield rec.chain
+            except OSError as exc:
+                raise StorageFailure(f"image {rec.id}: {exc}") from exc
 
     def _copy_up(self, rec: ImageRecord, chain) -> int:
         """Copy into ``rec``'s own layer every block it reads from an
@@ -729,23 +723,20 @@ class ImageStore:
         block_size = chain[0].block_size
         layer = chain[0].layer
         materialized = 0
-        try:
-            layer.open()  # the layer's first write creates its file
-            for index, lo, hi, pos in block_spans(offset, len(data), block_size):
-                piece = data[pos : pos + (hi - lo)]
-                local = layer.read_block(index)
-                if local is None:
-                    materialized += 1
-                if lo == 0 and hi == block_size:
-                    payload = piece
-                else:
-                    base = local if local is not None else self._resolve_block(chain[1:], index)
-                    if base is None:
-                        base = bytes(block_size)
-                    payload = base[:lo] + piece + base[hi:]
-                layer.write_block(index, payload)
-        except OSError as exc:
-            raise StorageFailure(f"write failed: {exc}") from exc
+        layer.open()  # the layer's first write creates its file
+        for index, lo, hi, pos in block_spans(offset, len(data), block_size):
+            piece = data[pos : pos + (hi - lo)]
+            local = layer.read_block(index)
+            if local is None:
+                materialized += 1
+            if lo == 0 and hi == block_size:
+                payload = piece
+            else:
+                base = local if local is not None else self._resolve_block(chain[1:], index)
+                if base is None:
+                    base = bytes(block_size)
+                payload = base[:lo] + piece + base[hi:]
+            layer.write_block(index, payload)
         if materialized:
             self._bump(blocks_materialized=materialized)
 

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigExists, TargetNotFound
+from .errors import ConfigExists, StorageFailure, TargetNotFound
 from .journal import Journal
 
 _MAC_RE = re.compile(r"^[0-9a-f]{2}(:[0-9a-f]{2}){5}$")
@@ -184,10 +184,16 @@ class NetbootService:
         return pointer, script, descriptor.to_json()
 
     def _write_files(self, node: str, mac: str, target: str) -> None:
-        for path, text in zip(self.artifact_paths(mac), self._render(node, mac, target)):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
+        try:
+            for path, text in zip(self.artifact_paths(mac), self._render(node, mac, target)):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text)
+        except OSError as exc:
+            raise StorageFailure(f"writing boot files of {mac} failed: {exc}") from exc
 
     def _remove_files(self, mac: str) -> None:
-        for path in self.artifact_paths(mac):
-            path.unlink(missing_ok=True)
+        try:
+            for path in self.artifact_paths(mac):
+                path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise StorageFailure(f"removing boot files of {mac} failed: {exc}") from exc

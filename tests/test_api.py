@@ -8,6 +8,7 @@ import pytest
 
 from conftest import build_stack
 from metalforge.api import ApiServer, serve_background
+from metalforge.image_store import BlockFile
 
 BS = 4096
 TOKENS = {"t1": "secret-1", "t2": "secret-2"}
@@ -197,6 +198,22 @@ class TestErrors:
         assert status == 500
         assert body["code"] == "RollbackReport"
         assert body["failing_step"] == "attach"
+
+    def test_file_error_in_a_snapshot_is_a_storage_failure(self, api, monkeypatch):
+        upload(api, "secret-1", "base", random.Random(1).randbytes(8 * BS))
+        _, rec = api.handle("PUT", "/v1/provision", {"image": "base"}, "secret-1")
+
+        def disk_full(self, index, payload):
+            raise OSError("No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(BlockFile, "write_block", disk_full)  # the copy-up fails
+            status, body = api.handle("PUT", f"/v1/snapshot/{rec['node']}",
+                                      {"name": "cp-1"}, "secret-1")
+        assert status == 500 and body["code"] == "StorageFailure"
+        live = api.svc.get_record("t1", rec["node"])
+        api.svc.gateway.target_write(live.node, live.target, 0, b"still-live")
+        assert api.svc.verify_invariants() == []
 
     def test_missing_field(self, api):
         status, body = api.handle("PUT", "/v1/provision", {}, "secret-1")

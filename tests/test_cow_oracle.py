@@ -10,6 +10,7 @@ import random
 import pytest
 
 from conftest import open_store
+from metalforge.errors import NotAClone
 from metalforge.image_store import ImageKind, ImageStore, StoreConfig
 from oracle import OracleStore
 
@@ -128,6 +129,10 @@ class DifferentialDriver:
         if not clones:
             return
         image = self.rng.choice(clones)
+        if self.store.get(image).child_count:  # an image with children never changes
+            with pytest.raises(NotAClone):
+                self.store.flatten(image)
+            return
         self.store.flatten(image)
         self.oracle.flatten(image)
 

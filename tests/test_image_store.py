@@ -283,6 +283,12 @@ class TestFlatten:
         with pytest.raises(NotAClone):
             store.flatten(image)
 
+    def test_flatten_of_a_parent_rejected(self, store):
+        base, mid, top = self._chain(store)
+        with pytest.raises(NotAClone):
+            store.flatten(mid)  # top reads through it
+        assert store.get(mid).kind is ImageKind.CLONE
+
 
 class TestDeepCopy:
     def test_copy_is_independent(self, store):
@@ -328,97 +334,18 @@ class TestDeepCopy:
 
 
 class TestChainPinning:
-    """Chain P <- X <- D. Once X is flattened, P has no child left and can
-    be written; a block operation on D that read D's chain before the
-    flatten must lock D's new chain, not the old one."""
-
-    def _chain(self, store):
-        p = store.create_image("t1", "P", 4 * BS)
-        x = store.linked_clone("t1", p, "X")
-        d = store.linked_clone("t1", x, "D")
-        return p, x, d
-
-    def _flatten_in_window(self, store, p, x):
-        """For one call, X's read lock first flattens X and writes block 2
-        of P; only an operation that already read D's chain gets there."""
-        lock = store.get(x).lock
-        real = lock.acquire_read
-
-        def late():
-            lock.acquire_read = real
-            store.flatten(x)
-            store.write_range(p, 2 * BS, b"LATE" * (BS // 4))
-            real()
-
-        lock.acquire_read = late
-
-    def test_read_sees_the_chain_after_a_flatten(self, store):
-        p, x, d = self._chain(store)
-        self._flatten_in_window(store, p, x)
-        assert store.read_range(d, 2 * BS, 8) == bytes(8)
-        assert store.get(x).kind is ImageKind.SNAPSHOT  # the window was hit
-
-    def test_write_merges_over_the_chain_after_a_flatten(self, tmp_path):
-        st = open_store(tmp_path / "st", StoreConfig(block_size=BS))
-        p, x, d = self._chain(st)
-        self._flatten_in_window(st, p, x)
-        st.write_range(d, 2 * BS, b"ok")
-        assert st.get(x).kind is ImageKind.SNAPSHOT
-        assert st.read_range(d, 2 * BS, BS) == b"ok" + bytes(BS - 2)
-        st.close()
-        st = open_store(tmp_path / "st", StoreConfig(block_size=BS))
-        assert st.read_range(d, 2 * BS, BS) == b"ok" + bytes(BS - 2)
-        assert st.check_integrity() == []
-        st.close()
-
-    def test_deep_copy_sees_the_chain_after_a_flatten(self, store):
-        p, x, d = self._chain(store)
-        self._flatten_in_window(store, p, x)
-        dup = store.deep_copy("t1", d, "dup")
-        assert store.get(x).kind is ImageKind.SNAPSHOT
-        assert store.export_image("t1", dup) == bytes(4 * BS)
-
-    def test_flatten_waits_for_a_read_through_the_ancestor(self, store, monkeypatch):
-        p = store.import_image("t1", "P", b"\x01" * BS)
-        x = store.linked_clone("t1", p, "X")
-        d = store.linked_clone("t1", x, "D")
-        inside, leave = threading.Event(), threading.Event()
-        real = BlockFile.read_block
-
-        def paused(self, index):
-            if self.path.stem == p and not inside.is_set():
-                inside.set()  # only the first read of P pauses: D's
-                leave.wait(5)
-            return real(self, index)
-
-        monkeypatch.setattr(BlockFile, "read_block", paused)
-        got = []
-        reader = threading.Thread(target=lambda: got.append(store.read_range(d, 0, 4)))
-        reader.start()
-        assert inside.wait(5)
-        flattener = threading.Thread(target=store.flatten, args=(x,))
-        flattener.start()
-        flattener.join(timeout=0.2)
-        assert flattener.is_alive()  # X's read lock, held by D's read, holds it off
-        assert store.get(x).kind is ImageKind.CLONE
-        leave.set()
-        reader.join(timeout=5)
-        flattener.join(timeout=5)
-        assert not reader.is_alive() and not flattener.is_alive()
-        assert got == [b"\x01" * 4]
-        assert store.get(x).kind is ImageKind.SNAPSHOT
-        assert store.read_range(d, 0, 4) == b"\x01" * 4
-
-
-    def test_readers_racing_a_flatten_and_first_loads(self, tmp_path, monkeypatch):
-        """Readers of D on a freshly reopened store (no layer loaded yet)
-        while X is flattened and P is then rewritten: every read sees D's
-        view, and each layer file is loaded once."""
+    def test_readers_racing_sibling_churn_and_a_parent_rewrite(self, tmp_path, monkeypatch):
+        """Chain P <- X <- {D, E} on a freshly reopened store (no layer
+        loaded yet). Six threads read D while E is written, snapshotted and
+        deleted, then D is deleted and X, childless again, is rewritten.
+        A read locks only D, so every read sees D's view or NotFound, and
+        each layer file is loaded once."""
         st = open_store(tmp_path / "st", StoreConfig(block_size=BS))
         p = st.import_image("t1", "P", random.Random(11).randbytes(4 * BS))
         x = st.linked_clone("t1", p, "X")
         st.write_range(x, BS, b"x" * BS)
         d = st.linked_clone("t1", x, "D")
+        e = st.linked_clone("t1", x, "E")
         st.write_range(d, 3 * BS, b"d" * 7)
         view = st.export_image("t1", d)
         st.close()
@@ -433,13 +360,18 @@ class TestChainPinning:
 
         monkeypatch.setattr(BlockFile, "_scan", counted_scan)
         start = threading.Barrier(7)  # six readers and this thread
-        seen, errors = [], []
+        first_read = threading.Event()
+        seen, ended, errors = [], [], []
 
         def reader():
             try:
                 start.wait(timeout=10)
-                for _ in range(30):
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline:  # until D is deleted
                     seen.append(st.read_range(d, 0, 4 * BS))
+                    first_read.set()
+            except NotFound:
+                ended.append(True)
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -450,17 +382,23 @@ class TestChainPinning:
             for t in readers:
                 t.start()
             start.wait(timeout=10)
-            st.flatten(x)
+            st.write_range(e, 0, b"e" * BS)
+            st.snapshot("t1", e, "E-snap")
+            st.delete_image("t1", e)
+            assert first_read.wait(timeout=10)
+            st.delete_image("t1", d)
             for i in range(20):
-                st.write_range(p, (i % 4) * BS, bytes([i]) * BS)
+                st.write_range(x, (i % 4) * BS, bytes([i]) * BS)
             for t in readers:
                 t.join(timeout=30)
         finally:
             sys.setswitchinterval(old_interval)
         assert not any(t.is_alive() for t in readers)
         assert errors == []
-        assert len(seen) == 6 * 30 and all(got == view for got in seen)
-        assert sorted(loaded) == sorted({p, x, d})
+        assert len(ended) == 6  # every reader saw D deleted
+        assert seen and all(got == view for got in seen)
+        assert sorted(loaded) == sorted({p, x, d, e})
+        assert st.check_integrity() == []
         st.close()
 
 

@@ -137,6 +137,17 @@ class TestRollback:
         steps = [r for r in Journal.read_records(stack.journal.path) if r["type"] == "prov.step"]
         assert steps[-1]["state"] == "rolled_back"
 
+    def test_boot_file_write_failure_rolls_back(self, stack):
+        image = seed_image(stack)
+        stack.netboot.root.mkdir(parents=True, exist_ok=True)
+        (stack.netboot.root / "ipxe").write_text("")  # a file where the script's directory goes
+        with pytest.raises(RollbackReport) as err:
+            stack.provision(T1, image)
+        assert err.value.failing_step == "configure"
+        assert err.value.cause_code == "StorageFailure"
+        assert stack.records() == [] and stack.gateway.targets() == []
+        assert stack.verify_invariants() == []
+
     def test_rollback_spares_image_holding_the_clone_name(self, stack):
         image = seed_image(stack)
         stack.deprovision(T1, stack.provision(T1, image, node="node-001").node)
@@ -735,10 +746,20 @@ def test_boot_configuration_without_provision_record_is_reported(stack):
     assert f"orphan boot configuration for {stack.pool.get(rec.node).mac}" not in problems
 
 
+def test_flatten_of_a_live_disk_is_refused(stack):
+    rec = stack.provision(T1, seed_image(stack))
+    with pytest.raises(ImageInUse):
+        stack.images.flatten(rec.clone_image)
+    assert stack.images.get(rec.clone_image).kind is ImageKind.CLONE
+    stack.gateway.target_write(rec.node, rec.target, 0, b"still-live")
+    assert stack.verify_invariants() == []
+
+
 def test_read_write_target_on_a_frozen_disk_is_reported(tmp_path):
     stack = build_stack(tmp_path / "r")
     rec = stack.provision(T1, seed_image(stack))
-    stack.images.flatten(rec.clone_image)  # the store lets a live disk freeze
+    # a root written by an older version may hold a flatten of a live disk
+    stack.journal.commit({"type": "image.flatten", "id": rec.clone_image})
     stack.close()
     stack = Orchestrator.open(tmp_path / "r", StackConfig(store=SMALL_BLOCKS))
     assert stack.verify_invariants() == [

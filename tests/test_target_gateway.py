@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 import threading
@@ -385,12 +386,16 @@ class TestConcurrency:
             assert stack.gateway.target_read(rec.node, rec.target, i * BS, span) == last[i]
         assert stack.verify_invariants() == []
 
-    def test_guest_io_lock_count_on_a_depth_4_chain(self, stack, monkeypatch):
-        golden = stack.images.import_image(TENANT, "base", bytes(4 * BS))
-        layer = stack.images.linked_clone(TENANT, golden, "l1")
-        layer = stack.images.linked_clone(TENANT, layer, "l2")
-        rec = stack.provision(TENANT, layer)
-        assert len(stack.images.get(rec.clone_image).chain) == 4
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_guest_io_lock_count_per_chain_depth(self, stack, monkeypatch, depth):
+        # a guest request locks only the image it names, never its ancestors
+        image = stack.images.import_image(TENANT, "base", bytes(4 * BS))
+        for i in range(depth - 1):
+            image = stack.images.linked_clone(TENANT, image, f"l{i}")
+        assert len(stack.images.get(image).chain) == depth
+        node = stack.pool.allocate_node(TENANT)
+        stack.pool.attach_network(node, TENANT)
+        target = stack.gateway.create_target(TENANT, image, {node})
         counts = {"read": 0, "write": 0}
         real_read, real_write = RWLock.acquire_read, RWLock.acquire_write
 
@@ -402,10 +407,10 @@ class TestConcurrency:
 
         monkeypatch.setattr(RWLock, "acquire_read", counted("read", real_read))
         monkeypatch.setattr(RWLock, "acquire_write", counted("write", real_write))
-        stack.gateway.target_read(rec.node, rec.target, 0, BS)
-        assert counts == {"read": 4, "write": 0}  # the disk and its 3 ancestors
-        stack.gateway.target_write(rec.node, rec.target, 0, b"x")
-        assert counts == {"read": 7, "write": 1}
+        stack.gateway.target_read(node, target, 0, BS)
+        assert counts == {"read": 1, "write": 0}
+        stack.gateway.target_write(node, target, 0, b"x")
+        assert counts == {"read": 1, "write": 1}
 
 
 class TestWireFormat:
@@ -495,3 +500,16 @@ def test_session_errors_keep_their_code(rig, monkeypatch):
         stack.gateway.target_write(node, target, 0, b"late")
     with pytest.raises(StorageFailure):
         stack.gateway.session(node).write(target, 0, b"late")
+
+
+def test_a_failing_pread_is_a_storage_failure(rig, monkeypatch):
+    stack, image, node, target = rig
+    session = stack.gateway.session(node)
+    assert session.read(target, 0, 4)  # the layer file is open
+
+    def io_error(fd, length, offset):
+        raise OSError("Input/output error")
+
+    monkeypatch.setattr(os, "pread", io_error)
+    with pytest.raises(StorageFailure):
+        session.read(target, 0, 4)
