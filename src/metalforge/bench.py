@@ -27,7 +27,7 @@ from .node_simulator import (
     os_boot_pattern,
     read_heavy_workload,
 )
-from .orchestrator import REEXPORT, STEPS, Orchestrator, StackConfig
+from .orchestrator import RECOVER_FROM, STEPS, Orchestrator, StackConfig
 from .virtual_time import (
     DelayProfile,
     Flow,
@@ -237,7 +237,7 @@ def _reprovision_vs_fresh(spec: BenchSpec, root: Path, profile: DelayProfile) ->
 
     marker_back = svc.gateway.session(new_rec.node).read(new_rec.target, marker_off,
                                                          len(marker))
-    rows = STEPS[REEXPORT:]  # recover keeps the clone: it undoes and redoes the rest
+    rows = STEPS[RECOVER_FROM:]  # recover keeps the disk and target: it sweeps and redoes the rest
     steps = [undo for *_, undo in reversed(rows)] + ["release"] + [name for name, *_ in rows]
     reprovision_ms = (_orchestration_ms(profile, steps, recover_commits)
                       + profile.boot_ms(requests, nbytes))

@@ -20,6 +20,7 @@ so a node spoofing another node's MAC is handed that node's descriptor.
 
 import json
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -184,11 +185,17 @@ class NetbootService:
         return pointer, script, descriptor.to_json()
 
     def _write_files(self, node: str, mac: str, target: str) -> None:
+        """Write the three files; a failing write removes those it wrote."""
+        written = []
         try:
             for path, text in zip(self.artifact_paths(mac), self._render(node, mac, target)):
                 path.parent.mkdir(parents=True, exist_ok=True)
+                written.append(path)
                 path.write_text(text)
         except OSError as exc:
+            for path in written:
+                with suppress(OSError):
+                    path.unlink(missing_ok=True)
             raise StorageFailure(f"writing boot files of {mac} failed: {exc}") from exc
 
     def _remove_files(self, mac: str) -> None:

@@ -5,19 +5,21 @@ gateway, netboot and isolation services for provision, deprovision,
 snapshot and recovery. Every step of a flow is committed through the shared
 journal before the next begins. ``STEPS`` is the stand-up as one table,
 each step beside its undo; the state machine and the benchmark's priced
-steps are read from it. Provision and the second half of recovery run its
-rows through ``_stand_up``; deprovision, the first half of recovery, a
-failed stand-up and crash recovery run every undo, last row first, through
-``_teardown``. A crash is therefore always resolved on restart the same
-way: half-done stand-ups are rolled back, half-done deprovisions are
-completed, and the global state stays orphan-free. Snapshot is one
-image-store commit outside the table; the node keeps its disk, target and
-record. A retried provision or deprovision is answered from the records of
-the flow its key names.
+steps are read from it. Provision runs its rows through ``_stand_up``,
+recovery runs them from the configure row on and its ready step takes the
+failed node's disk in one commit; deprovision, a failed stand-up and crash
+recovery run every undo, last row first, through ``_teardown``, and
+``_sweep`` releases a node no record names. A crash is therefore always
+resolved on restart the same way: half-done stand-ups are rolled back,
+half-done deprovisions are completed, and the global state stays
+orphan-free. Snapshot is one image-store commit outside the table; the node
+keeps its disk, target and record. A retried provision or deprovision is
+answered from the records of the flow its key names.
 """
 
 import json
 import logging
+import os
 import threading
 import time
 from contextlib import nullcontext, suppress
@@ -33,13 +35,14 @@ from .errors import (
     NotFound,
     InvalidRequest,
     RollbackReport,
+    StorageFailure,
     error_by_code,
 )
 from .image_store import ImageStore, StoreConfig
 from .isolation import IsolationService, PoolState
 from .journal import Journal
 from .netboot_config import NetbootService, NetbootSettings
-from .target_gateway import GatewayConfig, TargetGateway
+from .target_gateway import GatewayConfig, TargetGateway, TrafficCounters
 
 log = logging.getLogger(__name__)
 
@@ -69,7 +72,7 @@ STEPS = (
     ("configure", ProvisionState.CONFIGURING, "remove_config"),
     ("attach", ProvisionState.ATTACHING, "detach"),
 )
-REEXPORT = 1  # recover re-exports a kept clone: its stand-up starts at this row
+RECOVER_FROM = 2  # recover keeps the disk and its target: its stand-up starts at this row
 
 _STAND_UP = (ProvisionState.ALLOCATING, *(state for _, state, _ in STEPS),
              ProvisionState.READY)
@@ -78,7 +81,8 @@ _LIVE = (ProvisionState.READY, ProvisionState.BOOTED)
 _QUIESCED = {*_LIVE, ProvisionState.FAILED_NODE}
 STATE_EDGES = frozenset((old.value, getattr(new, "value", new)) for old, new in (
     *zip(_STAND_UP, _STAND_UP[1:]),
-    (ProvisionState.ALLOCATING, STEPS[REEXPORT][1]),
+    (ProvisionState.ALLOCATING, STEPS[RECOVER_FROM][1]),
+    (ProvisionState.ALLOCATING, ProvisionState.EXPORTING),  # recover in older roots
     *((state, ProvisionState.ROLLED_BACK) for state in _IN_FLIGHT),
     (ProvisionState.READY, ProvisionState.BOOTED),
     *((state, ProvisionState.FAILED_NODE) for state in _LIVE),
@@ -98,8 +102,9 @@ class ProvisionRecord:
     created_at: float
     clone_image: str | None = None
     target: str | None = None
-    keep_image: bool = False  # a teardown keeps the clone (recover begins with it set)
+    keep_image: bool = False  # a teardown keeps the clone (a kept deprovision; older recovers)
     error: dict | None = None  # a failed stand-up's {"code", "failing_step"}
+    replaces: str | None = None  # recover: the failed node whose disk the ready step takes
 
     @property
     def clone_name(self) -> str:
@@ -178,13 +183,19 @@ class Orchestrator:
         """Replay the journal and resolve any half-done flows."""
         root = Path(root)
         config = config or StackConfig()
-        config_path = root / "config.json"
-        if config_path.exists():
-            config.adopt(json.loads(config_path.read_text()))
-        else:
+        config_path, journal_path = root / "config.json", root / "journal.log"
+        text = config_path.read_text() if config_path.exists() else ""
+        if text or (journal_path.exists() and journal_path.stat().st_size):
+            try:
+                config.adopt(json.loads(text))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise StorageFailure(f"{config_path} holds no stack configuration: "
+                                     f"{exc!r}") from exc
+        else:  # a root never opened, or one whose first open died writing this file
             root.mkdir(parents=True, exist_ok=True)
-            config_path.write_text(json.dumps(config.persisted(), indent=2,
-                                              sort_keys=True) + "\n")
+            partial = root / "config.json.tmp"
+            partial.write_text(json.dumps(config.persisted(), indent=2, sort_keys=True) + "\n")
+            os.replace(partial, config_path)
         svc = cls(root, config)
         try:
             svc.journal.replay()
@@ -211,7 +222,8 @@ class Orchestrator:
                 seq=record["seq"],
                 created_at=record["created_at"],
                 clone_image=record.get("clone_image"),
-                keep_image=not record.get("owns_clone", True),
+                keep_image=not record.get("owns_clone", True),  # older roots
+                replaces=record.get("replaces"),
             )
             if rec.node in self._records:
                 raise ValueError(f"duplicate live provision record for {rec.node}")
@@ -226,6 +238,11 @@ class Orchestrator:
             for name in ("clone_image", "target", "keep_image", "error"):
                 if name in record:
                     setattr(rec, name, record[name])
+            if rec.state is ProvisionState.READY and rec.replaces is not None:  # the handoff
+                old = self._records.pop(rec.replaces)
+                rec.clone_image, rec.target = old.clone_image, old.target
+                target = self.gateway.get(rec.target)
+                target.allowed_initiators, target.counters = {rec.node}, TrafficCounters()
             if "key" in record:
                 self._keyed[(rec.tenant, "deprovision", record["key"])] = (rec.node, rec)
         elif op == "prov.update":  # older roots: a snapshot moved the node to a fresh clone
@@ -263,9 +280,7 @@ class Orchestrator:
         for node in self.pool.nodes():
             if node.pool_state is PoolState.ALLOCATED and node.id not in recorded:
                 log.info("recovery: releasing orphan allocation %s", node.id)
-                self.pool.detach_network(node.id)
-                self.netboot.remove_boot_config(node.id)
-                self.pool.release_node(node.id)
+                self._sweep(node.id)
         self.netboot.regenerate_files()
         self.images.cleanup_orphan_layers()
 
@@ -295,8 +310,8 @@ class Orchestrator:
                 raise ImageInUse(f"image {image} is the live disk of {exporter}")
             node_id = self.pool.allocate_node(tenant, node)
             with self._node_lock(node_id):
-                rec = self._begin(node_id, tenant, image, owns_clone=True,
-                                  clone_image=self.images.reserve_id(), key=idempotency_key)
+                rec = self._begin(node_id, tenant, image, clone_image=self.images.reserve_id(),
+                                  key=idempotency_key)
                 self._stand_up(rec, 0)
                 return rec
 
@@ -321,31 +336,25 @@ class Orchestrator:
             return self.images.snapshot(tenant, rec.clone_image, snapshot_name)
 
     def recover(self, tenant: str, failed_node: str, new_node: str | None = None) -> ProvisionRecord:
-        """Re-export a failed node's disk to a replacement node.
+        """Hand a failed node's disk and target to a replacement node.
 
-        No image data moves; the clone is simply re-exported and the new
-        node boots from it. A node whose deprovision failed partway without
-        ``keep_image`` is refused: its disk is being deleted.
+        No image data moves. A new record, stood up beside the failed one
+        from the configure row, boots from the failed node's target; its
+        ready step takes the disk and target over in one commit (``apply``).
+        Before it a failure or a crash rolls back only the new record. After
+        it the failed node is swept; if that fails, the next open releases
+        it. A record being torn down is refused.
         """
-        with self._workers:
-            with self._node_lock(failed_node):
-                rec = self._owned_record(tenant, failed_node)
-                self.pool.require_failed(failed_node)
-                if rec.state is ProvisionState.DEPROVISIONING and not rec.keep_image:
-                    raise InvalidRequest(f"node {failed_node} is being deprovisioned")
-                # the spare comes first: with none free, the disk keeps its record
-                new_id = self.pool.allocate_node(tenant, new_node)
-                try:
-                    if rec.state in _LIVE:
-                        self._step(rec, ProvisionState.FAILED_NODE)
-                    self._teardown(rec, keep_image=True)
-                except MetalforgeError:
-                    self.pool.release_node(new_id)
-                    raise
+        with self._workers, self._node_lock(failed_node):
+            rec = self._owned_record(tenant, failed_node)
+            self.pool.require_failed(failed_node)
+            if rec.state not in _QUIESCED:
+                raise InvalidRequest(f"node {failed_node} is being torn down")
+            new_id = self.pool.allocate_node(tenant, new_node)
             with self._node_lock(new_id):
-                rec2 = self._begin(new_id, tenant, rec.source_image, owns_clone=False,
-                                   clone_image=rec.clone_image)
-                self._stand_up(rec2, REEXPORT)
+                rec2 = self._begin(new_id, tenant, rec.source_image, replaces=failed_node)
+                self._stand_up(rec2, RECOVER_FROM)
+                self._sweep(failed_node)
                 return rec2
 
     # -- simulator signals ---------------------------------------------------------
@@ -466,8 +475,8 @@ class Orchestrator:
 
     # -- flow internals ---------------------------------------------------------------------
 
-    def _begin(self, node: str, tenant: str, source_image: str, owns_clone: bool,
-               clone_image: str, key: str | None = None) -> ProvisionRecord:
+    def _begin(self, node: str, tenant: str, source_image: str, clone_image: str | None = None,
+               key: str | None = None, replaces: str | None = None) -> ProvisionRecord:
         with self.journal.lock:  # sequence numbers commit in the order they are drawn
             self._prov_seq += 1
             record = {
@@ -478,9 +487,9 @@ class Orchestrator:
                 "state": ProvisionState.ALLOCATING.value,
                 "seq": self._prov_seq,
                 "created_at": time.time(),
-                "owns_clone": owns_clone,
                 "clone_image": clone_image,
                 "key": key,
+                "replaces": replaces,
             }
             self.journal.commit({name: v for name, v in record.items() if v is not None})
             return self._records[node]
@@ -517,7 +526,8 @@ class Orchestrator:
         return {"target": self.gateway.create_target(rec.tenant, rec.clone_image, {rec.node})}
 
     def _configure(self, rec: ProvisionRecord) -> dict:
-        self.netboot.install_boot_config(rec.node, self.pool.get(rec.node).mac, rec.target)
+        target = rec.target or self._live_record(rec.replaces).target  # recover boots the old one
+        self.netboot.install_boot_config(rec.node, self.pool.get(rec.node).mac, target)
         return {}
 
     def _attach(self, rec: ProvisionRecord) -> dict:
@@ -533,8 +543,8 @@ class Orchestrator:
         record already deprovisioning (a teardown that failed) resumes with
         the ``keep_image`` it recorded, ``key`` riding on ``prov.end``. An
         in-flight record (a stand-up that failed or crashed) commits
-        ROLLED_BACK with ``error`` first, and keeps its clone iff its begin
-        record did not own it.
+        ROLLED_BACK with ``error`` first; a recover's record names no disk
+        or target before its handoff, so its undos leave them alone.
         """
         if keep_image is not None and rec.state is not ProvisionState.DEPROVISIONING:
             self._step(rec, ProvisionState.DEPROVISIONING, keep_image=keep_image, key=key)
@@ -546,6 +556,12 @@ class Orchestrator:
             self._step(rec, ProvisionState.ROLLED_BACK, error=error)
         end = {"type": "prov.end", "node": rec.node, "seq": rec.seq, "key": key}
         self.journal.commit({name: v for name, v in end.items() if v is not None})
+
+    def _sweep(self, node: str) -> None:
+        """Detach, unconfigure and release a node no record names."""
+        self.pool.detach_network(node)
+        self.netboot.remove_boot_config(node)
+        self.pool.release_node(node)
 
     def _detach(self, rec: ProvisionRecord) -> None:
         self.pool.detach_network(rec.node)

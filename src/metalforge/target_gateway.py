@@ -8,7 +8,10 @@ lengths exactly; denied requests change nothing.
 Every target is a read-write export of one writable image to the initiators
 it names, so an image has at most one target; the image record names it in
 ``exporter``, which ``apply`` keeps in step with the target table. No flow
-changes a target's image, so the data path reads the binding once.
+changes a target's image, so the data path reads the binding once. Recover's
+handoff (``Orchestrator.apply``) gives a target to a new node: it replaces
+the target's initiator set and its counters whole, one attribute each, so
+``_authorize``'s lock-free read sees either the old set or the new one.
 
 Transport is an in-process loopback carrying the binary wire format below,
 so the simulator's "network" boundary is bit-exact without real block

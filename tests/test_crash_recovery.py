@@ -2,6 +2,7 @@
 consistent world: every node ends up ready or fully rolled back, and the
 global sweep finds no orphans."""
 
+import json
 import random
 import shutil
 from pathlib import Path
@@ -12,6 +13,7 @@ from conftest import SMALL_BLOCKS, build_stack
 from metalforge.errors import RollbackReport, StorageFailure
 from metalforge.image_store import ImageKind
 from metalforge.journal import Journal, SimulatedCrash
+from metalforge import orchestrator
 from metalforge.orchestrator import Orchestrator, ProvisionState, StackConfig
 
 BS = 4096
@@ -82,6 +84,18 @@ def prep_snapshot(stack):
 def do_snapshot(stack, context):
     rec, _ = context
     stack.snapshot(T1, rec.node, "snap")
+
+
+def prep_recover(stack):
+    rec = stack.provision(T1, prep_provision(stack), node="node-001")
+    stack.gateway.target_write(rec.node, rec.target, BS, b"before failure")
+    stack.note_node_failed(rec.node)
+    return rec, stack.images.read_range(rec.clone_image, 0, 8 * BS)
+
+
+def do_recover(stack, context):
+    rec, _ = context
+    return stack.recover(T1, rec.node)
 
 
 def crash_and_reopen(root, prep, action, cut):
@@ -241,6 +255,61 @@ class TestSnapshotCutPoints:
             revived.close()
 
 
+class TestRecoverCutPoints:
+    HANDOFF = 7  # the new record's ready step: spare, begin, two steps of two commits, ready
+
+    @staticmethod
+    def owner(stack, context, label):
+        """The one live record naming the failed node's disk, once the
+        sweep finds nothing and the disk's bytes read back."""
+        rec, before = context
+        assert stack.verify_invariants() == [], label
+        owners = [r for r in stack.records() if r.clone_image == rec.clone_image]
+        assert len(owners) == 1, f"{label}: {owners}"
+        assert owners[0].target == rec.target, label
+        assert stack.images.read_range(rec.clone_image, 0, 8 * BS) == before, label
+        return owners[0]
+
+    def test_every_cut_leaves_the_disk_with_the_old_or_the_new_record(self, tmp_path):
+        total = count_commits(do_recover, tmp_path, prep_recover)
+        assert total == 10
+        for cut in range(1, total + 1):
+            revived, context = crash_and_reopen(tmp_path / f"cut{cut}", prep_recover,
+                                                do_recover, cut)
+            rec, before = context
+            owner = self.owner(revived, context, f"cut {cut}")
+            if cut < self.HANDOFF:
+                assert (owner.node, owner.state) == (rec.node, ProvisionState.FAILED_NODE)
+                owner = do_recover(revived, context)
+                assert self.owner(revived, context, f"cut {cut}, retried") is owner
+            assert owner.node == "node-002" and owner.state is ProvisionState.READY
+            assert revived.pool.counts() == {"registered": 2, "free": 1, "allocated": 1}
+            assert revived.gateway.target_read(owner.node, owner.target, 0, 8 * BS) == before
+            revived.close()
+
+    @pytest.mark.parametrize("step", ["configure", "attach"])
+    def test_failed_step_leaves_the_disk_with_the_failed_node(self, tmp_path, step):
+        stack = build_stack(tmp_path / "root")
+        context = prep_recover(stack)
+        rec, _ = context
+
+        def fail(name, node):
+            if name == step:
+                raise StorageFailure(f"injected at {step}")
+
+        stack.fault_hook = fail
+        with pytest.raises(RollbackReport) as err:
+            do_recover(stack, context)
+        assert (err.value.failing_step, err.value.cause_code) == (step, "StorageFailure")
+        owner = self.owner(stack, context, step)
+        assert (owner.node, owner.state) == (rec.node, ProvisionState.FAILED_NODE)
+        assert stack.pool.counts() == {"registered": 2, "free": 1, "allocated": 1}
+        stack.fault_hook = None
+        new = do_recover(stack, context)
+        assert self.owner(stack, context, f"{step}, retried") is new
+        stack.close()
+
+
 class TestRecoveredState:
     def test_committed_writes_survive_crash(self, tmp_path):
         root = tmp_path / "w"
@@ -356,6 +425,44 @@ def test_failed_recovery_on_open_closes_the_stack(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="not loaded"):
         svc.journal.append({"type": "pool.probe"})
     assert svc.images.get(rec.clone_image).layer._fd is None
+
+
+@pytest.mark.parametrize("text", ["", "{not json", None])
+def test_unreadable_config_beside_a_journal_is_a_typed_error(tmp_path, text):
+    build_stack(tmp_path / "root").close()
+    config = tmp_path / "root" / "config.json"
+    if text is None:
+        config.unlink()
+    else:
+        config.write_text(text)
+    with pytest.raises(StorageFailure, match=str(config)):
+        reopen(tmp_path)
+
+
+@pytest.mark.parametrize("text", ["", None])
+def test_config_beside_an_empty_journal_is_written_fresh(tmp_path, text):
+    # what a first open that died writing config.json leaves
+    root = tmp_path / "root"
+    root.mkdir()
+    (root / "journal.log").write_bytes(b"")
+    if text is not None:
+        (root / "config.json").write_text(text)
+    reopen(tmp_path).close()
+    assert json.loads((root / "config.json").read_text()) == \
+        StackConfig(store=SMALL_BLOCKS).persisted()
+
+
+def test_config_is_written_through_a_temporary_file(tmp_path, monkeypatch):
+    def crash(src, dst):
+        raise SimulatedCrash("crash before the rename")
+
+    monkeypatch.setattr(orchestrator.os, "replace", crash)
+    with pytest.raises(SimulatedCrash):
+        reopen(tmp_path)
+    assert not (tmp_path / "root" / "config.json").exists()
+    monkeypatch.undo()
+    reopen(tmp_path).close()
+    assert (tmp_path / "root" / "config.json").exists()
 
 
 def test_failed_replay_on_open_closes_the_journal(tmp_path, monkeypatch):
@@ -545,6 +652,28 @@ def test_older_root_drops_other_outcomes(tmp_path):
     revived = reopen(tmp_path)
     image = revived.images.find_by_name(T1, "base").id
     assert revived.provision(T1, image, idempotency_key="k2").node == "node-002"
+    assert revived.verify_invariants() == []
+    revived.close()
+
+
+def test_older_root_with_a_finished_recover_recovers_again(tmp_path):
+    # written by a version whose recover ended the failed node's record and
+    # stood a new one up from the export row (allocating -> exporting), under
+    # a target created anew: the root opens and its node is recovered again
+    shutil.copytree(FIXTURES / "root-recovered", tmp_path / "root")
+    revived = reopen(tmp_path)
+    assert revived.verify_invariants() == []
+    (rec,) = revived.records()
+    assert rec.node == "node-002"
+    base = random.Random(0).randbytes(2 * BS)
+    disk = base[:BS] + b"before failure" + base[BS + 14:]
+    assert revived.gateway.target_read(rec.node, rec.target, 0, 2 * BS) == disk
+    revived.pool.register_node("02:00:00:00:00:02")
+    revived.note_node_failed(rec.node)
+    new = revived.recover(T1, rec.node)
+    assert new.node == "node-003"
+    assert (new.clone_image, new.target) == (rec.clone_image, rec.target)
+    assert revived.gateway.target_read(new.node, new.target, 0, 2 * BS) == disk
     assert revived.verify_invariants() == []
     revived.close()
 

@@ -19,6 +19,7 @@ from metalforge.errors import (
     StorageFailure,
 )
 from metalforge.image_store import ImageKind
+from metalforge.isolation import PoolState
 from metalforge.journal import Journal
 from metalforge.orchestrator import STATE_EDGES, Orchestrator, ProvisionState, StackConfig
 
@@ -147,6 +148,17 @@ class TestRollback:
         assert err.value.cause_code == "StorageFailure"
         assert stack.records() == [] and stack.gateway.targets() == []
         assert stack.verify_invariants() == []
+
+    def test_failed_boot_file_write_leaves_no_file(self, stack):
+        # the pointer is written before the script's directory fails
+        image = seed_image(stack)
+        stack.netboot.root.mkdir(parents=True, exist_ok=True)
+        (stack.netboot.root / "ipxe").write_text("")
+        with pytest.raises(RollbackReport) as err:
+            stack.provision(T1, image)
+        assert (err.value.failing_step, err.value.cause_code) == ("configure", "StorageFailure")
+        assert list((stack.netboot.root / "pxelinux.cfg").glob("01-*")) == []
+        assert list((stack.netboot.root / "ibft").glob("*")) == []
 
     def test_rollback_spares_image_holding_the_clone_name(self, stack):
         image = seed_image(stack)
@@ -523,7 +535,11 @@ class TestRecover:
         assert stack.gateway.target_read(new.node, new.target, 7 * BS, 12) == b"marker-bytes"
         assert stack.verify_invariants() == []
 
-    def test_failed_teardown_releases_the_spare(self, stack, monkeypatch):
+    def test_failed_sweep_keeps_the_handoff_and_open_releases_the_node(self, tmp_path,
+                                                                         monkeypatch):
+        # the sweep of the failed node runs after the handoff: when it fails,
+        # the new record keeps the disk and the next open releases the node
+        stack = build_stack(tmp_path / "r")
         rec = self._provision_and_fail(stack)
 
         def failing_detach(node):
@@ -532,10 +548,29 @@ class TestRecover:
         monkeypatch.setattr(stack.pool, "detach_network", failing_detach)
         with pytest.raises(StorageFailure):
             stack.recover(T1, rec.node)
-        assert stack.pool.counts()["allocated"] == 1  # the spare went back
+        (new,) = stack.records()
+        assert new.node != rec.node and new.state is ProvisionState.READY
+        assert (new.clone_image, new.target) == (rec.clone_image, rec.target)
+        assert stack.gateway.target_read(new.node, new.target, 7 * BS, 12) == b"marker-bytes"
+        assert stack.pool.get(rec.node).pool_state is PoolState.ALLOCATED
         monkeypatch.undo()
-        new = stack.recover(T1, rec.node)  # resumes the kept teardown
-        assert new.clone_image == rec.clone_image
+        stack.close()
+        stack = Orchestrator.open(tmp_path / "r", StackConfig(store=SMALL_BLOCKS))
+        assert [r.node for r in stack.records()] == [new.node]
+        assert stack.pool.get(rec.node).pool_state is PoolState.FREE
+        assert stack.verify_invariants() == []
+        stack.close()
+
+    def test_handoff_keeps_the_target_and_admits_the_new_node_alone(self, stack):
+        rec = self._provision_and_fail(stack)  # its guest write is counted
+        new = stack.recover(T1, rec.node)
+        assert new.target == rec.target
+        assert stack.gateway.get(new.target).allowed_initiators == {new.node}
+        assert stack.get_traffic(T1, new.node) == {
+            "bytes_read": 0, "bytes_written": 0, "read_ops": 0, "write_ops": 0}
+        with pytest.raises(AccessDenied):
+            stack.gateway.target_read(rec.node, new.target, 7 * BS, 12)
+        assert stack.gateway.target_read(new.node, new.target, 7 * BS, 12) == b"marker-bytes"
         assert stack.verify_invariants() == []
 
 
@@ -785,6 +820,7 @@ class TestStateMachine:
             ("booted", "failed_node"),
             ("failed_node", "deprovisioning"),
             ("allocating", "exporting"),
+            ("allocating", "configuring"),
             ("allocating", "rolled_back"),
             ("cloning", "rolled_back"),
             ("exporting", "rolled_back"),
